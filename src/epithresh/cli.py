@@ -132,6 +132,7 @@ def _cmd_exact(args) -> int:
                 "lambda2": gap.lambda2,
                 "gap": gap.gap,
                 "gap_iterations": gap.iterations,
+                "gap_residual": gap.residual,
                 "gap_converged": gap.converged,
                 "component_n": component.n,
             }
@@ -166,7 +167,7 @@ def _cmd_bounds(args) -> int:
             "hoeffding_m1": asdict(hoeffding),
             "chung_radcliffe": asdict(radcliffe),
             "chunglu_condition": condition._asdict(),
-            "spectral_gap": {"lambda2": gap.lambda2, "gap": gap.gap},
+            "spectral_gap": asdict(gap),
             "sample_size_plan": asdict(plan),
             "component_n": component.n,
         },

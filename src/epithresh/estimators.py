@@ -165,9 +165,19 @@ def sample_size(
     r = ceil( (1 / (gap eps^{3/2})) * (6 m1 d_max / m2) * ln(1/delta) ),
     evaluated on the observed degree sums. The default burn-in is
     ceil(ln n), matching the query count gap-bounded expected-degree graphs
-    admit; pass ``t_star`` to override.
+    admit; pass ``t_star`` to override. A :class:`SpectralGap` whose solve
+    did not converge is refused: a truncated gap would size the walk from
+    an uncertified number.
     """
-    gap_value = gap.gap if isinstance(gap, SpectralGap) else float(gap)
+    if isinstance(gap, SpectralGap):
+        if not gap.converged:
+            raise ValueError(
+                f"spectral gap {gap.gap} is not certified: Ritz residual "
+                f"{gap.residual:.3g} after {gap.iterations} Lanczos steps"
+            )
+        gap_value = gap.gap
+    else:
+        gap_value = float(gap)
     if gap_value <= 0.0:
         raise ValueError("sample size requires a positive spectral gap")
     if not 0.0 < eps <= 1.0:

@@ -2,17 +2,25 @@
 
 The spectral radius is the reference quantity the cheap estimators are
 judged against; the gap of the degree-normalized adjacency controls how
-many random-walk samples are needed. Both use shifted power iteration so
-bipartite +/- eigenvalue pairs cannot stall convergence.
+many random-walk samples are needed. Both come from one Lanczos solver
+that keeps O(n) vectors and no Krylov basis. It stops on the Ritz
+residual |beta_k s_k|, which bounds the distance from the reported value
+to an eigenvalue of the operator (Paige, 1980), so ``converged`` is a
+certificate rather than a stalled estimate. Bipartite +/- eigenvalue
+pairs do not slow it down.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
+
+Matvec = Callable[[np.ndarray], np.ndarray]
 
 __all__ = [
     "SpectralResult",
@@ -30,6 +38,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
+
+_KRYLOV_CAP = 512  # longest Lanczos tridiagonal kept before a restart
+_BREAKDOWN = 1e-12  # beta_k at or below this times ||T_k|| is an invariant subspace
+_EPS = float(np.finfo(np.float64).eps)
 
 _MIXING_STEP_CAP = 1_000_000
 _MIXING_DENSE_LIMIT = 5000
@@ -56,11 +68,14 @@ class BipartiteGraphError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Eigenvalue estimate with iteration metadata.
+    """Eigenvalue estimate with its Lanczos certificate.
 
-    ``converged`` implies the final relative change ``residual`` met the
-    tolerance; a False flag is an explicit non-answer, never a silently
-    wrong value.
+    ``iterations`` is the number of Lanczos steps, one matvec each.
+    ``residual`` is the Ritz residual ``|beta_k s_k| / max(1, |value|)``:
+    an eigenvalue of the operator lies within that relative distance of
+    ``value``. ``converged`` means the residual fell below the tolerance
+    (or the Krylov space became exactly invariant); a False flag is an
+    explicit non-answer, never a silently wrong value.
     """
 
     value: float
@@ -71,7 +86,11 @@ class SpectralResult:
 
 @dataclass(frozen=True)
 class SpectralGap:
-    """Second eigenvalue of the normalized adjacency and the gap 1 - lambda2."""
+    """Second eigenvalue of the normalized adjacency and the gap 1 - lambda2.
+
+    ``iterations``, ``residual`` and ``converged`` carry the Lanczos
+    certificate of ``lambda2`` as in :class:`SpectralResult`.
+    """
 
     lambda2: float
     gap: float
@@ -137,39 +156,145 @@ def bipartite_coloring(g: Graph) -> np.ndarray | None:
     return color.astype(np.int64)
 
 
+def _lanczos(matvec: Matvec, q: np.ndarray, deflate: np.ndarray | None):
+    """Plain three-term Lanczos recurrence from the unit vector ``q``.
+
+    Yields ``(q_k, alpha_k, beta_k)`` once per matvec, holding only
+    ``q_prev``, ``q`` and ``w``: ``w = A q_k - alpha_k q_k - beta_{k-1} q_{k-1}``
+    and ``q_{k+1} = w / beta_k``. ``deflate`` (a unit vector) is projected
+    out of every product. The caller stops pulling at a breakdown
+    (``beta_k`` ~ 0), where the next vector is undefined.
+    """
+    q_prev = np.zeros_like(q)
+    beta = 0.0
+    while True:
+        w = matvec(q)
+        if deflate is not None:
+            w -= (deflate @ w) * deflate
+        w -= beta * q_prev
+        alpha = float(q @ w)
+        w -= alpha * q
+        beta = float(np.linalg.norm(w))
+        yield q, alpha, beta
+        w /= beta
+        q_prev, q = q, w
+
+
+def _ritz_vector(alpha: list[float], beta: list[float], theta: float) -> list[float]:
+    """Unit eigenvector s of the Lanczos tridiagonal T_k for its eigenvalue ``theta``.
+
+    Two steps of inverse iteration from the all-ones vector, each one O(k)
+    Thomas solve with ``theta I - T_k``. Since ``theta`` is the top eigenvalue
+    of T_k, every pivot but the last is positive (strict interlacing), so
+    the elimination needs no pivoting; the last pivot is ~0, which is what
+    makes the solve amplify s.
+    """
+    floor = _EPS * max(1.0, abs(theta))  # stands in for an exactly zero pivot
+    piv = theta - alpha[0] or floor
+    pivots = [piv]
+    mults = []  # elimination multipliers beta_i / pivot_i
+    for a, b in zip(alpha[1:], beta):
+        m = b / piv
+        piv = theta - a - m * b or floor
+        mults.append(m)
+        pivots.append(piv)
+    x = [1.0] * len(alpha)
+    for _ in range(2):
+        for i, m in enumerate(mults):
+            x[i + 1] += m * x[i]
+        x[-1] /= pivots[-1]
+        for i in range(len(mults) - 1, -1, -1):
+            x[i] = (x[i] + beta[i] * x[i + 1]) / pivots[i]
+        norm = math.sqrt(sum(v * v for v in x))
+        x = [v / norm for v in x]
+    return x
+
+
+def _top_eigenpair(
+    matvec: Matvec,
+    x0: np.ndarray,
+    tol: float,
+    max_steps: int,
+    deflate: np.ndarray | None = None,
+) -> tuple[float, int, float, bool]:
+    """Largest eigenvalue of a symmetric operator by Lanczos, with a certificate.
+
+    Returns ``(theta, steps, residual, converged)``. ``theta`` is the top
+    Ritz value of the Lanczos tridiagonal T_k and ``residual`` its Ritz
+    residual ``|beta_k s_k| / max(1, |theta|)``, where s is the Ritz vector
+    of T_k. Even without reorthogonalization an eigenvalue of the operator
+    lies within ``|beta_k s_k|`` of ``theta`` (Paige, 1980). The residual is
+    checked on every step while k <= 32 and every 8 steps after that;
+    ``converged`` means it fell below ``tol``, or that the recurrence broke
+    down on an exactly invariant Krylov space. ``steps`` counts matvecs and
+    never exceeds ``max_steps``.
+
+    No Krylov basis is stored. A cycle that reaches _KRYLOV_CAP steps
+    unconverged regenerates its Lanczos vectors from the same start to form
+    the Ritz vector (another k matvecs) and restarts from it, so memory
+    stays O(n + _KRYLOV_CAP^2).
+    """
+    if max_steps < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_steps}")
+    steps = 0
+    x = x0
+    while True:
+        if deflate is not None:
+            x = x - (deflate @ x) * deflate
+        q = x / np.linalg.norm(x)
+        alpha: list[float] = []
+        beta: list[float] = []
+        scale = 0.0  # Gershgorin bound on ||T_k||, which is <= ||A||
+        for _, a, b in _lanczos(matvec, q, deflate):
+            steps += 1
+            scale = max(scale, abs(a) + b + (beta[-1] if beta else 0.0))
+            alpha.append(a)
+            beta.append(b)
+            k = len(alpha)
+            breakdown = b <= _BREAKDOWN * scale
+            last = breakdown or steps >= max_steps or k == _KRYLOV_CAP
+            if not (last or k <= 32 or k % 8 == 0):
+                continue
+            t = np.zeros((k, k))
+            t.flat[:: k + 1] = alpha
+            t.flat[k :: k + 1] = beta[:-1]  # subdiagonal; eigvalsh reads the lower triangle
+            theta = float(np.linalg.eigvalsh(t)[-1])
+            s = _ritz_vector(alpha, beta, theta)
+            residual = b * abs(s[-1]) / max(1.0, abs(theta))
+            if breakdown or residual < tol:
+                return theta, steps, residual, True
+            if last:
+                break
+        if steps + k >= max_steps:
+            return theta, steps, residual, False
+        x = np.zeros_like(q)
+        for s_i, (q_i, _, _) in zip(s, _lanczos(matvec, q, deflate)):
+            x += s_i * q_i
+        steps += k
+
+
 def spectral_radius(
     g: Graph,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     seed: int = 0,
 ) -> SpectralResult:
-    """Largest adjacency eigenvalue by power iteration on A + I.
+    """Largest adjacency eigenvalue by Lanczos from a positive random start.
 
-    The +I shift makes the Perron value strictly dominant even on bipartite
-    graphs, whose +/-lambda pairs stall plain power iteration. The reported
-    value is the Rayleigh quotient of A + I minus one. Convergence means the
-    relative change of the estimate dropped below ``tol``; on failure the
-    result is returned with ``converged=False``.
+    ``iterations`` counts Lanczos steps (one matvec each, at most
+    ``max_iters``) and ``residual`` is the certified Ritz residual
+    ``|beta_k s_k| / max(1, |lambda|)``: some eigenvalue of A lies within
+    that relative distance of ``value``. On bipartite graphs the +/-lambda
+    pair does not slow Lanczos down. If the residual does not reach ``tol``
+    the result comes back with ``converged=False``.
     """
     if g.n == 0 or g.m == 0:
         raise ValueError("spectral_radius requires a nonempty graph with at least one edge")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.5, 1.5, g.n)
-    x /= np.linalg.norm(x)
-    estimate = 0.0
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        y = adjacency_matvec(g, x) + x
-        shifted = float(x @ y)  # Rayleigh quotient of A + I; ||x|| == 1
-        new_estimate = shifted - 1.0
-        residual = abs(new_estimate - estimate) / max(1.0, abs(new_estimate))
-        estimate = new_estimate
-        norm = np.linalg.norm(y)
-        x = y / norm
-        if iterations > 1 and residual < tol:
-            return SpectralResult(estimate, iterations, residual, True)
-    return SpectralResult(estimate, iterations, residual, False)
+    x0 = np.random.default_rng(seed).uniform(0.5, 1.5, g.n)
+    value, iterations, residual, converged = _top_eigenpair(
+        lambda x: adjacency_matvec(g, x), x0, tol, max_iters
+    )
+    return SpectralResult(value, iterations, residual, converged)
 
 
 def spectral_gap(
@@ -180,11 +305,13 @@ def spectral_gap(
 ) -> SpectralGap:
     """Second-largest eigenvalue of D^{-1/2} A D^{-1/2} and the gap 1 - lambda2.
 
-    Power iteration runs on the shifted operator M + I after deflating the
-    analytically known top eigenvector D^{1/2} 1 (eigenvalue exactly 1), so
-    the dominant remaining direction is lambda2 + 1 >= 0 regardless of the
-    bottom of the spectrum. Requires a connected graph; a disconnected one
-    has a multiple top eigenvalue and no well-defined lambda2 this way.
+    Lanczos runs on the normalized adjacency with its analytically known top
+    eigenvector D^{1/2} 1 (eigenvalue exactly 1) projected out of the start
+    and of every matvec, so the top remaining eigenvalue is lambda2.
+    ``iterations`` and ``residual`` mean what they do for
+    :func:`spectral_radius`; ``residual`` bounds the distance from
+    ``lambda2`` to an eigenvalue. Requires a connected graph; a disconnected
+    one has a multiple top eigenvalue and no well-defined lambda2 this way.
     """
     if g.n == 0 or g.m == 0:
         raise ValueError("spectral_gap requires a nonempty graph with at least one edge")
@@ -198,35 +325,12 @@ def spectral_gap(
     def normalized_matvec(x: np.ndarray) -> np.ndarray:
         return adjacency_matvec(g, x / sqrt_d) / sqrt_d
 
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, g.n)
-    x -= (top @ x) * top
-    norm = np.linalg.norm(x)
-    if norm == 0.0:  # n == 1 cannot happen (m >= 1), but stay safe
-        return SpectralGap(0.0, 1.0)
-    x /= norm
-
-    estimate = 0.0
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        y = normalized_matvec(x) + x
-        y -= (top @ y) * top  # re-deflate against floating drift
-        shifted = float(x @ y)
-        new_estimate = shifted - 1.0
-        residual = abs(new_estimate - estimate) / max(1.0, abs(new_estimate))
-        estimate = new_estimate
-        norm = float(np.linalg.norm(y))
-        if norm < 1e-300:
-            # Deflated operator annihilated x: lambda2 + 1 == 0 exactly.
-            return SpectralGap(-1.0, 2.0, iterations, 0.0, True)
-        x = y / norm
-        if iterations > 1 and residual < tol:
-            break
-    lambda2 = float(np.clip(estimate, -1.0, 1.0))
-    return SpectralGap(
-        lambda2, 1.0 - lambda2, iterations, residual, residual < tol
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, g.n)
+    estimate, iterations, residual, converged = _top_eigenpair(
+        normalized_matvec, x0, tol, max_iters, deflate=top
     )
+    lambda2 = float(np.clip(estimate, -1.0, 1.0))
+    return SpectralGap(lambda2, 1.0 - lambda2, iterations, residual, converged)
 
 
 def stationary_distribution(g: Graph) -> np.ndarray:

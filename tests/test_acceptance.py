@@ -227,25 +227,30 @@ def test_criterion_07_spectral_gap_values_and_bound():
     n = 2000
     d_min = 20.0 * math.log(n)
     holds = 0
+    converged = 0
     worst_margin = -np.inf
     for seed in range(100):
         ed = uniform_expected_degrees(n, d_min, d_min + 40.0, seed=3000 + seed)
         g, _ = largest_component(chung_lu_sample_fast(ed, 4000 + seed))
         bound = 2.0 * math.sqrt(6.0 * math.log(2 * n) / ed.delta_min)
-        measured = spectral_gap(g, tol=1e-8, max_iters=400).lambda2
+        solve = spectral_gap(g, tol=1e-8, max_iters=400)
+        converged += solve.converged
+        measured = solve.lambda2
         if abs(measured) < bound:
             holds += 1
         worst_margin = max(worst_margin, abs(measured) - bound)
 
-    ok = analytic_ok and holds >= 95
+    ok = analytic_ok and holds >= 95 and converged == 100
     report(
         7,
         "spectral gap analytics and expected-degree bound",
         ok,
         f"K4 gap {gap_k4:.8f}, C4 {gap_c4:.8f}, star {gap_star:.8f} (all 1e-6); "
-        f"bound held in {holds}/100 seeds (worst margin {worst_margin:+.3f})",
+        f"bound held in {holds}/100 seeds (worst margin {worst_margin:+.3f}); "
+        f"{converged}/100 solves certified",
     )
     assert analytic_ok
+    assert converged == 100
     assert holds >= 95
 
 

@@ -54,6 +54,9 @@ class TestExactAndEstimate:
         assert payload["converged"]
         assert payload["lambda"] > 0
         assert 0 <= payload["gap"] <= 2
+        assert payload["gap_converged"]
+        assert 0 <= payload["gap_residual"] < 1e-10
+        assert payload["gap_iterations"] >= 1
 
     def test_estimate_t1(self, edge_file, capsys):
         assert run_cli("estimate", "t1", "--in", edge_file) == 0
@@ -66,6 +69,23 @@ class TestExactAndEstimate:
         assert payload["hoeffding_m1"]["value"] >= 0
         assert payload["sample_size_plan"]["r"] >= 1
         assert "chunglu_condition" in payload
+        gap = payload["spectral_gap"]
+        assert set(gap) == {"lambda2", "gap", "iterations", "residual", "converged"}
+        assert gap["converged"] and gap["residual"] < 1e-10
+        assert payload["sample_size_plan"]["gap"] == gap["gap"]
+
+    @pytest.mark.parametrize(
+        "argv", [("bounds", "--eps", "0.2", "--delta", "0.1"), ("walk",)], ids=["bounds", "walk"]
+    )
+    def test_truncated_gap_is_refused(self, edge_file, capsys, monkeypatch, argv):
+        from epithresh import cli
+
+        real = cli.spectral_gap
+        monkeypatch.setattr(cli, "spectral_gap", lambda g: real(g, max_iters=3))
+        assert run_cli(argv[0], "--in", edge_file, *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not certified: Ritz residual" in captured.err
 
 
 class TestWalkCommand:

@@ -200,6 +200,14 @@ class TestSampleSize:
         plan = sample_size(stats, SpectralGap(lambda2=0.0, gap=1.0), 1.0, 1 / math.e)
         assert plan.r == 6
 
+    def test_refuses_unconverged_gap(self):
+        stats = degree_stats(cycle_graph(10))
+        truncated = SpectralGap(lambda2=0.5, gap=0.5, iterations=5, residual=3e-4, converged=False)
+        with pytest.raises(ValueError, match="residual 0.0003 after 5"):
+            sample_size(stats, truncated, 0.5, 0.1)
+        # the same number as a plain float is taken as given
+        assert sample_size(stats, 0.5, 0.5, 0.1).gap == 0.5
+
     def test_default_burn_in(self):
         stats = degree_stats(cycle_graph(50))
         plan = sample_size(stats, gap=0.5, eps=0.5, delta=0.1)

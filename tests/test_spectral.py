@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from epithresh.graph import build_graph, degree_stats
+from epithresh import spectral
+from epithresh.generators import chung_lu_sample_fast, power_law_expected_degrees
+from epithresh.graph import build_graph, degree_stats, largest_component
 from epithresh.spectral import (
     BipartiteGraphError,
     DisconnectedGraphError,
@@ -14,8 +16,18 @@ from epithresh.spectral import (
     tv_mixing_time,
 )
 
-from conftest import cycle_graph, random_graph
+from conftest import cycle_graph, path_graph, random_graph
 from oracles import dense_adjacency, exact_walk_distribution, jacobi_spectral_radius
+
+
+def dense_normalized_eigenvalues(g) -> np.ndarray:
+    """Ascending eigenvalues of D^-1/2 A D^-1/2 by dense numpy.linalg.eigvalsh."""
+    inv_sqrt = 1.0 / np.sqrt(dense_adjacency(g).sum(axis=1))
+    return np.linalg.eigvalsh(inv_sqrt[:, None] * dense_adjacency(g) * inv_sqrt[None, :])
+
+
+def complete_bipartite(a: int, b: int):
+    return build_graph([(i, a + j) for i in range(a) for j in range(b)], a + b)
 
 
 class TestSpectralRadius:
@@ -112,6 +124,54 @@ class TestSpectralGap:
         g = build_graph([(0, 1), (2, 3)], 4)
         with pytest.raises(DisconnectedGraphError):
             spectral_gap(g)
+
+
+class TestLanczosCertificate:
+    @pytest.mark.filterwarnings("ignore:chung_lu_sample_fast")
+    def test_power_law_core_gap_near_one(self):
+        # lambda2 ~ 0.956 with lambda3 ~ 0.951: a stopping rule on how far the
+        # estimate moved declares convergence here while ~4e-7 off
+        ed = power_law_expected_degrees(1000, 2.5, 1.0, seed=2)
+        g = chung_lu_sample_fast(ed, seed=102)
+        core, _ = largest_component(g)
+        want = 1.0 - dense_normalized_eigenvalues(core)[-2]
+        gap = spectral_gap(core)
+        assert gap.converged
+        assert gap.residual < 1e-10
+        assert abs(gap.gap - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(10), cycle_graph(100), complete_bipartite(3, 4)],
+        ids=["C10", "C100", "K3,4"],
+    )
+    def test_bipartite_needs_no_shift(self, g):
+        radius = spectral_radius(g)
+        gap = spectral_gap(g)
+        assert radius.converged and gap.converged
+        assert radius.value == pytest.approx(np.linalg.eigvalsh(dense_adjacency(g))[-1], abs=1e-9)
+        assert gap.lambda2 == pytest.approx(dense_normalized_eigenvalues(g)[-2], abs=1e-9)
+
+    def test_residual_bounds_distance_to_an_eigenvalue(self):
+        for seed in range(5):
+            g = random_graph(40, 0.15, seed)
+            eigs = np.linalg.eigvalsh(dense_adjacency(g))
+            for max_iters in (3, 6, 12):
+                r = spectral_radius(g, max_iters=max_iters, seed=seed)
+                assert r.iterations <= max_iters
+                nearest = np.abs(eigs - r.value).min()
+                assert nearest <= r.residual * max(1.0, abs(r.value)) + 1e-12
+
+    def test_restart_past_the_tridiagonal_cap(self):
+        # P_700 needs more Lanczos steps than one cycle keeps
+        n = 700
+        r = spectral_radius(path_graph(n))
+        assert r.converged
+        assert r.iterations > spectral._KRYLOV_CAP
+        assert r.value == pytest.approx(2 * math.cos(math.pi / (n + 1)), abs=1e-9)
+
+    def test_max_iters_must_be_positive(self, k4):
+        with pytest.raises(ValueError, match="max_iters"):
+            spectral_radius(k4, max_iters=0)
 
 
 class TestStationaryDistribution:
