@@ -8,8 +8,9 @@ external ids must be mapped before construction. All downstream determinism
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -29,6 +30,13 @@ __all__ = [
 # Chunk size for overflow-safe integer reductions; each chunk's int64 partial
 # sum stays far below 2**63 even at n = 1e7, d_max = 1e7.
 _SUM_CHUNK = 10_000
+
+# read_edge_list reads the file in binary chunks of this many bytes.
+_READ_CHUNK = 1 << 22
+# Tokens of at most this many digits are below 10**18 < 2**62, so the bulk
+# parse needs no range check; longer ones go to the per-line parser.
+_FAST_DIGITS = 18
+_TAB, _NEWLINE, _SPACE, _ZERO, _NINE = b"\t\n 09"
 
 
 class EdgeListParseError(ValueError):
@@ -129,13 +137,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values: one sort plus a neighbour-inequality mask."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _from_canonical_pairs(pairs: np.ndarray, n: int) -> Graph:
     """Assemble CSR arrays from deduplicated (u < v) pairs."""
     if pairs.size:
         src = np.concatenate((pairs[:, 0], pairs[:, 1]))
         dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
-        order = np.lexsort((dst, src))
-        neighbors = dst[order]
+        # one int64 key per directed edge; sorting it orders by (src, dst)
+        neighbors = np.sort(src * np.int64(n) + dst) % n
         degrees = np.bincount(src, minlength=n).astype(np.int64)
     else:
         neighbors = np.empty(0, dtype=np.int64)
@@ -180,7 +197,7 @@ def build_graph_with_report(
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     codes = lo * np.int64(n) + hi
-    unique_codes = np.unique(codes)
+    unique_codes = _sorted_unique(codes)
     duplicates = int(len(codes) - len(unique_codes))
     pairs = np.column_stack((unique_codes // n, unique_codes % n))
     return _from_canonical_pairs(pairs, n), BuildReport(self_loops, duplicates)
@@ -209,27 +226,28 @@ def degree_stats(g: Graph) -> DegreeStats:
     )
 
 
+def _frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
+    """Concatenated neighbor slices of the frontier nodes, in frontier order."""
+    starts = g.offsets[frontier]
+    lens = g.degrees[frontier]
+    total = int(lens.sum())
+    pos = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return g.neighbors[pos]
+
+
 def _component_labels(g: Graph) -> tuple[np.ndarray, int]:
     """Label nodes by connected component via BFS, in ascending root order."""
     labels = np.full(g.n, -1, dtype=np.int64)
     count = 0
-    offsets, neighbors = g.offsets, g.neighbors
     for root in range(g.n):
         if labels[root] >= 0:
             continue
         labels[root] = count
         frontier = np.array([root], dtype=np.int64)
         while frontier.size:
-            starts = offsets[frontier]
-            lens = offsets[frontier + 1] - starts
-            total = int(lens.sum())
-            if total == 0:
-                break
-            pos = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-            nbrs = neighbors[pos]
-            fresh = np.unique(nbrs[labels[nbrs] < 0])
-            labels[fresh] = count
-            frontier = fresh
+            nbrs = _frontier_neighbors(g, frontier)
+            frontier = _sorted_unique(nbrs[labels[nbrs] < 0])
+            labels[frontier] = count
         count += 1
     return labels, count
 
@@ -258,46 +276,130 @@ def largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
     return sub, mapping
 
 
+def _parse_line(path: str, line_no: int, line: str) -> tuple[tuple[int, int] | None, int]:
+    """One edge-list line by the full rules: (edge or None, declared node count)."""
+    stripped = line.strip()
+    if not stripped:
+        return None, 0
+    if stripped.startswith("#"):
+        body = stripped[1:].strip()
+        if body.startswith("n="):
+            try:
+                return None, int(body[2:])
+            except ValueError:
+                pass  # free-form comment, not our sidecar
+        return None, 0
+    parts = stripped.split()
+    if len(parts) != 2:
+        raise EdgeListParseError(path, line_no, f"expected 'u v', got {len(parts)} fields")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise EdgeListParseError(path, line_no, f"non-integer ids {parts!r}") from None
+    if u < 0 or v < 0:
+        raise EdgeListParseError(path, line_no, f"negative node id in {parts!r}")
+    if max(u, v) >= 2**62:
+        raise EdgeListParseError(path, line_no, "node id overflows 62-bit range")
+    return (u, v), 0
+
+
+def _parse_chunk(path: str, buf: bytes, line_base: int) -> tuple[np.ndarray, int, int]:
+    """Parse whole lines ``buf`` (ending in a newline, no carriage returns)
+    that start at line ``line_base + 1``.
+
+    Lines made only of digits and blanks, holding two tokens of at most
+    _FAST_DIGITS digits (so below 2**62), are parsed in one numpy call;
+    every other line goes to _parse_line in file order, so the first error
+    is raised with its exact line number. Returns the (k, 2) edge pairs,
+    the declared node count and the number of lines consumed.
+    """
+    a = np.frombuffer(buf, dtype=np.uint8)
+    ends = np.flatnonzero(a == _NEWLINE)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # Controls count as blanks here; a line holding any byte other than a
+    # digit, space, tab or newline is flagged below whatever its tokens.
+    blank = a <= _SPACE
+    first = ~blank & np.concatenate(([True], blank[:-1]))
+    tokens = np.add.reduceat(first, starts, dtype=np.int64)
+    flagged = (tokens != 0) & (tokens != 2)
+    token_start = np.flatnonzero(first)
+    token_last = np.flatnonzero(~blank & np.concatenate((blank[1:], [True])))
+    long_tokens = token_start[token_last - token_start >= _FAST_DIGITS]
+    flagged[np.searchsorted(ends, long_tokens)] = True
+    other = (a > _NINE) | ((a < _ZERO) & (a != _SPACE) & (a != _TAB) & (a != _NEWLINE))
+    flagged[np.searchsorted(ends, np.flatnonzero(other))] = True
+
+    edges: list[tuple[int, int]] = []
+    declared_n = 0
+    lines = np.flatnonzero(flagged)
+    if lines.size:
+        a = a.copy()
+        for i in lines.tolist():
+            start, end = int(starts[i]), int(ends[i])
+            edge, declared = _parse_line(path, line_base + i + 1, buf[start:end].decode("utf-8"))
+            if edge is not None:
+                edges.append(edge)
+            declared_n = max(declared_n, declared)
+            a[start:end] = _SPACE  # blank the line for the bulk parse
+        buf = a.tobytes()
+    expected = 2 * int(np.count_nonzero(tokens[~flagged]))
+    # np.fromstring reads an all-blank buffer as [0], so skip empty chunks
+    values = np.fromstring(buf, sep=" ", dtype=np.int64) if expected else np.empty(0, np.int64)
+    if values.size != expected:
+        raise RuntimeError(f"{path}: bulk parse read {values.size} ids, expected {expected}")
+    pairs = values.reshape(-1, 2)
+    if edges:
+        pairs = np.concatenate((pairs, np.asarray(edges, dtype=np.int64)))
+    return pairs, declared_n, int(ends.size)
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """Whole lines of a binary file, _READ_CHUNK bytes at a time, with every
+    line end ("\n", "\r\n" or "\r") turned into "\n" and a final one added."""
+
+    def unix(raw: bytes) -> bytes:
+        if b"\r" in raw:
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return raw if raw.endswith(b"\n") else raw + b"\n"
+
+    carry = b""
+    while block := fh.read(_READ_CHUNK):
+        data = carry + block
+        # cut after the last line end; a trailing "\r" may be half of "\r\n"
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        carry = data[cut:]
+        if cut:
+            yield unix(data[:cut])
+    if carry:
+        yield unix(carry)
+
+
 def read_edge_list(path: str) -> Graph:
     """Parse a whitespace-separated "u v" edge-list file into a Graph.
 
     Lines starting with '#' are ignored, except that a writer-emitted
     "# n=<count>" comment raises the node count above max(id)+1 so graphs
-    with trailing isolated nodes round-trip. Blank lines are skipped.
+    with trailing isolated nodes round-trip. Blank lines are skipped, and
+    "\n", "\r\n" and "\r" all end a line. The file is UTF-8.
+
+    The file is read in binary chunks of _READ_CHUNK bytes, each cut after
+    its last line end, so parse memory is one chunk (or the longest line)
+    plus the int64 edge pairs. Plain "u v" lines are parsed in bulk; any
+    other line is parsed on its own, so EdgeListParseError carries the
+    exact line number of the first bad line.
     """
-    edges: list[tuple[int, int]] = []
+    chunks: list[np.ndarray] = []
     declared_n = 0
-    max_id = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                body = stripped[1:].strip()
-                if body.startswith("n="):
-                    try:
-                        declared_n = max(declared_n, int(body[2:]))
-                    except ValueError:
-                        pass  # free-form comment, not our sidecar
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(
-                    path, line_no, f"expected 'u v', got {len(parts)} fields"
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(path, line_no, f"non-integer ids {parts!r}") from None
-            if u < 0 or v < 0:
-                raise EdgeListParseError(path, line_no, f"negative node id in {parts!r}")
-            if max(u, v) >= 2**62:
-                raise EdgeListParseError(path, line_no, "node id overflows 62-bit range")
-            edges.append((u, v))
-            max_id = max(max_id, u, v)
-    n = max(declared_n, max_id + 1)
-    return build_graph(edges, n)
+    line_base = 0
+    with open(path, "rb") as fh:
+        for buf in _line_blocks(fh):
+            pairs, declared, lines = _parse_chunk(path, buf, line_base)
+            chunks.append(pairs)
+            declared_n = max(declared_n, declared)
+            line_base += lines
+    pairs = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    max_id = int(pairs.max()) if pairs.size else -1
+    return build_graph(pairs, max(declared_n, max_id + 1))
 
 
 def write_edge_list(g: Graph, path: str) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _frontier_neighbors
 from .spectral import spectral_radius
 
 
@@ -78,13 +78,7 @@ class SirTrajectory:
 
 
 def _infected_neighbor_counts(g: Graph, infected: np.ndarray) -> np.ndarray:
-    starts = g.offsets[infected]
-    lens = g.offsets[infected + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(g.n, dtype=np.int64)
-    pos = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return np.bincount(g.neighbors[pos], minlength=g.n)
+    return np.bincount(_frontier_neighbors(g, infected), minlength=g.n)
 
 
 def sir_simulate(g: Graph, p: SirParams) -> SirTrajectory:

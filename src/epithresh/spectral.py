@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _frontier_neighbors, _sorted_unique
 
 Matvec = Callable[[np.ndarray], np.ndarray]
 
@@ -121,14 +121,8 @@ def is_connected(g: Graph) -> bool:
     frontier = np.array([0], dtype=np.int64)
     reached = 1
     while frontier.size:
-        starts = g.offsets[frontier]
-        lens = g.offsets[frontier + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            break
-        pos = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        fresh = np.unique(g.neighbors[pos])
-        fresh = fresh[~seen[fresh]]
+        nbrs = _frontier_neighbors(g, frontier)
+        fresh = _sorted_unique(nbrs[~seen[nbrs]])
         seen[fresh] = True
         reached += fresh.size
         frontier = fresh

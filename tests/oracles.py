@@ -2,14 +2,17 @@
 
 Everything here is deliberately implemented from scratch, without reusing
 the library's code paths, so tests compare two unrelated routes to the same
-quantity: a cyclic Jacobi eigensolver for spectral values, dict-of-sets
-degree recounts for graph statistics, dense transition-matrix iteration for
-walk distributions, and a Hill estimator for tail exponents.
+quantity: a round-robin Jacobi eigensolver for spectral values, dict-of-sets
+degree recounts for graph statistics, a whole-file line-by-line edge-list
+parser, dense transition-matrix iteration for walk distributions, and a Hill
+estimator for tail exponents.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from epithresh.graph import EdgeListParseError
 
 
 def dense_adjacency(g) -> np.ndarray:
@@ -21,8 +24,29 @@ def dense_adjacency(g) -> np.ndarray:
     return a
 
 
+def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Brent-Luk ordering: rounds of disjoint (p, q) pairs, p < q, covering
+    every pair of [0, n) once per sweep (a round-robin tournament)."""
+    players = list(range(n + n % 2))  # an odd n gets a bye player n
+    rounds = []
+    for _ in range(len(players) - 1):
+        half = len(players) // 2
+        pairs = [
+            (min(a, b), max(a, b))
+            for a, b in zip(players[:half], reversed(players[half:]))
+            if max(a, b) < n
+        ]
+        rounds.append((np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])))
+        players = [players[0], players[-1]] + players[1:-1]
+    return rounds
+
+
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
+    """All eigenvalues of a symmetric matrix by parallel-ordered Jacobi rotations.
+
+    Each round of a sweep annihilates n/2 disjoint off-diagonal pairs at
+    once, applying their rotations together as one dense orthogonal matrix.
+    """
     a = np.array(matrix, dtype=np.float64, copy=True)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -30,28 +54,28 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int =
     if n == 1:
         return a.diagonal().copy()
     scale = max(1.0, float(np.abs(a).max()))
+    rounds = _round_robin_pairs(n)
     for _ in range(max_sweeps):
         off = np.sqrt(max(0.0, (a**2).sum() - (a.diagonal() ** 2).sum()))
         if off <= tol * scale:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-30 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                rows = a[[p, q], :]
-                a[[p, q], :] = rot.T @ rows
-                cols = a[:, [p, q]]
-                a[:, [p, q]] = cols @ rot
-                a[p, q] = a[q, p] = 0.0  # annihilated exactly by construction
+        for p, q in rounds:
+            apq = a[p, q]
+            active = np.abs(apq) > 1e-30 * scale
+            p, q, apq = p[active], q[active], apq[active]
+            if not p.size:
+                continue
+            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            rot = np.eye(n)
+            rot[p, p] = c
+            rot[q, q] = c
+            rot[p, q] = s
+            rot[q, p] = -s
+            a = rot.T @ a @ rot
+            a[p, q] = a[q, p] = 0.0  # annihilated exactly by construction
     return np.sort(a.diagonal())
 
 
@@ -59,6 +83,43 @@ def jacobi_spectral_radius(g) -> float:
     """Largest-magnitude adjacency eigenvalue via the dense Jacobi route."""
     eigs = jacobi_eigenvalues(dense_adjacency(g))
     return float(np.abs(eigs).max())
+
+
+def read_edge_list_lines(path: str):
+    """Whole-file line-by-line edge-list parse: the reference for the
+    chunked reader. Returns ``(edges, n)``; raises EdgeListParseError."""
+    edges: list[tuple[int, int]] = []
+    declared_n = 0
+    max_id = -1
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                body = stripped[1:].strip()
+                if body.startswith("n="):
+                    try:
+                        declared_n = max(declared_n, int(body[2:]))
+                    except ValueError:
+                        pass
+                continue
+            parts = stripped.split()
+            if len(parts) != 2:
+                raise EdgeListParseError(
+                    path, line_no, f"expected 'u v', got {len(parts)} fields"
+                )
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListParseError(path, line_no, f"non-integer ids {parts!r}") from None
+            if u < 0 or v < 0:
+                raise EdgeListParseError(path, line_no, f"negative node id in {parts!r}")
+            if max(u, v) >= 2**62:
+                raise EdgeListParseError(path, line_no, "node id overflows 62-bit range")
+            edges.append((u, v))
+            max_id = max(max_id, u, v)
+    return edges, max(declared_n, max_id + 1)
 
 
 def recount_degree_sums(edges, n: int) -> tuple[int, int, list[int]]:

@@ -1,8 +1,13 @@
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epithresh import graph as graph_module
 from epithresh.graph import (
     EdgeListParseError,
     build_graph,
@@ -14,7 +19,7 @@ from epithresh.graph import (
 )
 
 from conftest import complete_graph, random_graph, star_graph
-from oracles import recount_degree_sums
+from oracles import dense_adjacency, read_edge_list_lines, recount_degree_sums
 
 
 class TestBuildGraph:
@@ -65,6 +70,38 @@ class TestBuildGraph:
         edges = [(u % n, v % n) for u, v in raw]
         g = build_graph(edges, n)
         assert int(g.degrees.sum()) == 2 * g.m
+
+    @given(
+        n=st.integers(min_value=0, max_value=25),
+        raw=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=80),
+        as_array=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_report_matches_set_oracle(self, n, raw, as_array):
+        edges = [(u % n, v % n) for u, v in raw] if n else []
+        loops = sum(u == v for u, v in edges)
+        distinct = {frozenset(e) for e in edges if e[0] != e[1]}
+        adjacency = {v: set() for v in range(n)}
+        for u, v in distinct:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        source = np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges
+
+        g, report = build_graph_with_report(source, n)
+
+        assert report.self_loops_removed == loops
+        assert report.duplicates_removed == len(edges) - loops - len(distinct)
+        assert (g.n, g.m) == (n, len(distinct))
+        assert g.offsets.tolist()[:1] == [0] and g.offsets[-1] == 2 * g.m
+        m1, m2, degrees = recount_degree_sums(edges, n)
+        assert g.degrees.tolist() == degrees
+        assert int(g.degrees.sum()) == m1
+        for v in range(n):
+            assert g.neighbors_of(v).tolist() == sorted(adjacency[v])
+        dense = np.zeros((n, n))
+        for u, v in distinct:
+            dense[u, v] = dense[v, u] = 1.0
+        assert np.array_equal(dense_adjacency(g), dense)
 
 
 class TestDegreeStats:
@@ -157,6 +194,40 @@ class TestLargestComponent:
         assert sub.n == 1
         assert mapping.tolist() == [0]
 
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        raw=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_set_oracle(self, n, raw):
+        edges = [(u % n, v % n) for u, v in raw]
+        g = build_graph(edges, n)
+        adjacency = {v: set() for v in range(n)}
+        for u, v in edges:
+            if u != v:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+        components = []  # in ascending root order, as the library labels them
+        seen: set[int] = set()
+        for root in range(n):
+            if root in seen:
+                continue
+            comp, stack = {root}, [root]
+            while stack:
+                for w in adjacency[stack.pop()] - comp:
+                    comp.add(w)
+                    stack.append(w)
+            seen |= comp
+            components.append(sorted(comp))
+        best = max(components, key=len)  # max keeps the first on ties
+        sub, mapping = largest_component(g)
+        assert np.flatnonzero(mapping >= 0).tolist() == best
+        assert mapping[best].tolist() == list(range(len(best)))
+        index = {v: i for i, v in enumerate(best)}
+        want = sorted({(index[u], index[v]) for u, v in edges if u != v and u in index})
+        want = build_graph(want, len(best))
+        assert sub.identical(want)
+
 
 class TestEdgeListIO:
     def test_path_graph_roundtrip(self, tmp_path):
@@ -200,3 +271,97 @@ class TestEdgeListIO:
         f.write_text("0 1 2\n")
         with pytest.raises(EdgeListParseError, match=":1"):
             read_edge_list(str(f))
+
+
+def _edge_list_lines():
+    """Strategy for edge-list lines, weighted towards lines that parse."""
+    small = st.integers(0, 40)
+    ok_id = st.one_of(
+        small.map(str),
+        small.map(lambda v: f"00{v}"),
+        small.map(lambda v: f"{v:019d}"),  # 19 digits, small value
+        small.map(lambda v: f"+{v}"),
+        st.sampled_from(["1_0", "0_3", "\u0663"]),  # int() accepts all three
+    )
+    bad_id = st.sampled_from(
+        ["-1", "x", "1.5", "0x1", str(2**62), "9" * 19, "9" * 25, "\u00e9", "1__0", "#"]
+    )
+    sep = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0", "\x0c"])
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    edge = st.builds(lambda a, s, b, l, r: f"{l}{a}{s}{b}{r}", ok_id, sep, ok_id, pad, pad)
+    comment = st.one_of(
+        small.map(lambda v: f"# n={v}"),
+        small.map(lambda v: f"  #n={v + 40}  "),
+        st.sampled_from(["#", "# a comment", "# n=abc", "# n=", "#\u00e9t\u00e9", "# 1 2 3"]),
+    )
+    blank = st.sampled_from(["", " ", "\t", "   "])
+    good = st.one_of(edge, edge, edge, comment, blank)
+    bad = st.one_of(
+        st.builds(lambda a, s, b: f"{a}{s}{b}", st.one_of(ok_id, bad_id), sep, bad_id),
+        ok_id,  # one field
+        st.builds(lambda a, b, c: f"{a} {b} {c}", ok_id, ok_id, ok_id),  # three fields
+    )
+    return good, bad
+
+
+@st.composite
+def _edge_list_files(draw):
+    good, bad = _edge_list_lines()
+    lines = draw(st.lists(good, max_size=25))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no trailing newline
+    return text.encode("utf-8")
+
+
+class TestChunkedReader:
+    """read_edge_list against the whole-file line-by-line oracle."""
+
+    @given(data=_edge_list_files(), chunk=st.sampled_from([1, 7, 64]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_line_oracle(self, data, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                edges, n = read_edge_list_lines(path)
+            except EdgeListParseError as want:
+                with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+                    with pytest.raises(EdgeListParseError) as got:
+                        read_edge_list(path)
+                assert got.value.line_no == want.line_no
+                assert str(got.value) == str(want)
+            else:
+                with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+                    g = read_edge_list(path)
+                assert g.identical(build_graph(edges, n))
+
+    def test_many_chunks_error_line_is_exact(self, tmp_path):
+        lines = ["# n=1000"] + [f"{i} {i + 1}" for i in range(999)]
+        lines[700] = "700 seven-hundred-one"
+        f = tmp_path / "g.txt"
+        f.write_text("\r\n".join(lines))
+        with mock.patch.object(graph_module, "_READ_CHUNK", 100):
+            with pytest.raises(EdgeListParseError) as got:
+                read_edge_list(str(f))
+        assert got.value.line_no == 701
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"0 1\n\xff 2\n", b"# caf\xe9\n0 1\n", b"0 1\n1 2\n\xc3"],
+        ids=["edge", "comment", "truncated"],
+    )
+    def test_invalid_utf8_raises(self, tmp_path, data):
+        f = tmp_path / "g.txt"
+        f.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError):
+            read_edge_list_lines(str(f))
+        for chunk in (1, 7, graph_module._READ_CHUNK):
+            with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+                with pytest.raises(UnicodeDecodeError):
+                    read_edge_list(str(f))
