@@ -8,6 +8,7 @@ external ids must be mapped before construction. All downstream determinism
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -33,10 +34,17 @@ _SUM_CHUNK = 10_000
 
 # read_edge_list reads the file in binary chunks of this many bytes.
 _READ_CHUNK = 1 << 22
-# Tokens of at most this many digits are below 10**18 < 2**62, so the bulk
-# parse needs no range check; longer ones go to the per-line parser.
+# The most nodes a graph can have: the int64 pair codes lo*n + hi need
+# n*n - 1 < 2**63.
+_MAX_NODES = math.isqrt(2**63 - 1)
+# Tokens of at most this many digits fit in int64 and are parsed in bulk;
+# longer ones go to the per-line parser.
 _FAST_DIGITS = 18
 _TAB, _NEWLINE, _SPACE, _ZERO, _NINE = b"\t\n 09"
+# write_edge_list formats this many edges per block.
+_WRITE_CHUNK = 1 << 18
+# 10, 100, ..., 10**18: an id has one digit more than it has powers <= it.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 class EdgeListParseError(ValueError):
@@ -175,10 +183,13 @@ def build_graph_with_report(
 
     Input pairs may repeat, appear in either orientation, or be self-loops;
     the result is the simple undirected graph on those edges. Raises
-    ValueError for ids outside [0, n).
+    ValueError for ids outside [0, n), and, before allocating anything, for
+    n above _MAX_NODES.
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got {n}")
+    if n > _MAX_NODES:
+        raise ValueError(f"node count {n} exceeds the supported maximum {_MAX_NODES}")
     if isinstance(edges, np.ndarray):
         arr = edges.astype(np.int64, copy=False)
     else:
@@ -285,9 +296,14 @@ def _parse_line(path: str, line_no: int, line: str) -> tuple[tuple[int, int] | N
         body = stripped[1:].strip()
         if body.startswith("n="):
             try:
-                return None, int(body[2:])
+                declared = int(body[2:])
             except ValueError:
-                pass  # free-form comment, not our sidecar
+                return None, 0  # free-form comment, not our sidecar
+            if declared > _MAX_NODES:
+                raise EdgeListParseError(
+                    path, line_no, f"declared node count exceeds the supported maximum {_MAX_NODES}"
+                )
+            return None, declared
         return None, 0
     parts = stripped.split()
     if len(parts) != 2:
@@ -300,6 +316,10 @@ def _parse_line(path: str, line_no: int, line: str) -> tuple[tuple[int, int] | N
         raise EdgeListParseError(path, line_no, f"negative node id in {parts!r}")
     if max(u, v) >= 2**62:
         raise EdgeListParseError(path, line_no, "node id overflows 62-bit range")
+    if max(u, v) >= _MAX_NODES:
+        raise EdgeListParseError(
+            path, line_no, f"node id exceeds the supported maximum {_MAX_NODES - 1}"
+        )
     return (u, v), 0
 
 
@@ -308,10 +328,11 @@ def _parse_chunk(path: str, buf: bytes, line_base: int) -> tuple[np.ndarray, int
     that start at line ``line_base + 1``.
 
     Lines made only of digits and blanks, holding two tokens of at most
-    _FAST_DIGITS digits (so below 2**62), are parsed in one numpy call;
-    every other line goes to _parse_line in file order, so the first error
-    is raised with its exact line number. Returns the (k, 2) edge pairs,
-    the declared node count and the number of lines consumed.
+    _FAST_DIGITS digits, are parsed in one numpy call; every other line, and
+    every such line with an id of _MAX_NODES or more, goes to _parse_line in
+    file order, so the first error is raised with its exact line number.
+    Returns the (k, 2) edge pairs, the declared node count and the number of
+    lines consumed.
     """
     a = np.frombuffer(buf, dtype=np.uint8)
     ends = np.flatnonzero(a == _NEWLINE)
@@ -329,24 +350,30 @@ def _parse_chunk(path: str, buf: bytes, line_base: int) -> tuple[np.ndarray, int
     other = (a > _NINE) | ((a < _ZERO) & (a != _SPACE) & (a != _TAB) & (a != _NEWLINE))
     flagged[np.searchsorted(ends, np.flatnonzero(other))] = True
 
-    edges: list[tuple[int, int]] = []
-    declared_n = 0
-    lines = np.flatnonzero(flagged)
-    if lines.size:
+    bulk = buf
+    if flagged.any():
         a = a.copy()
-        for i in lines.tolist():
-            start, end = int(starts[i]), int(ends[i])
-            edge, declared = _parse_line(path, line_base + i + 1, buf[start:end].decode("utf-8"))
-            if edge is not None:
-                edges.append(edge)
-            declared_n = max(declared_n, declared)
-            a[start:end] = _SPACE  # blank the line for the bulk parse
-        buf = a.tobytes()
+        for i in np.flatnonzero(flagged).tolist():
+            a[starts[i] : ends[i]] = _SPACE  # blank the line for the bulk parse
+        bulk = a.tobytes()
     expected = 2 * int(np.count_nonzero(tokens[~flagged]))
     # np.fromstring reads an all-blank buffer as [0], so skip empty chunks
-    values = np.fromstring(buf, sep=" ", dtype=np.int64) if expected else np.empty(0, np.int64)
+    values = np.fromstring(bulk, sep=" ", dtype=np.int64) if expected else np.empty(0, np.int64)
     if values.size != expected:
         raise RuntimeError(f"{path}: bulk parse read {values.size} ids, expected {expected}")
+    too_large = np.flatnonzero(values >= _MAX_NODES)
+    if too_large.size:  # _parse_line refuses such a line, in file order
+        plain = np.flatnonzero(~flagged & (tokens != 0))
+        flagged[plain[too_large // 2]] = True
+
+    edges: list[tuple[int, int]] = []
+    declared_n = 0
+    for i in np.flatnonzero(flagged).tolist():
+        line = buf[int(starts[i]) : int(ends[i])].decode("utf-8")
+        edge, declared = _parse_line(path, line_base + i + 1, line)
+        if edge is not None:
+            edges.append(edge)
+        declared_n = max(declared_n, declared)
     pairs = values.reshape(-1, 2)
     if edges:
         pairs = np.concatenate((pairs, np.asarray(edges, dtype=np.int64)))
@@ -386,7 +413,9 @@ def read_edge_list(path: str) -> Graph:
     its last line end, so parse memory is one chunk (or the longest line)
     plus the int64 edge pairs. Plain "u v" lines are parsed in bulk; any
     other line is parsed on its own, so EdgeListParseError carries the
-    exact line number of the first bad line.
+    exact line number of the first bad line. An id of _MAX_NODES or more,
+    or a "# n=" count above it, is such an error: no graph that large can
+    be built, so the file is refused before any graph array is allocated.
     """
     chunks: list[np.ndarray] = []
     declared_n = 0
@@ -402,12 +431,35 @@ def read_edge_list(path: str) -> Graph:
     return build_graph(pairs, max(declared_n, max_id + 1))
 
 
+def _format_pairs(pairs: np.ndarray) -> bytes:
+    """ASCII "u v\n" lines for nonnegative int64 pairs, formatted in numpy:
+    each id's digits go into a byte buffer from its right end, one decimal
+    place per pass, while any id still has digits left."""
+    widths = np.searchsorted(_POW10, pairs, side="right") + 1
+    line_end = np.cumsum(widths.sum(axis=1) + 2)
+    space = line_end - 2 - widths[:, 1]
+    buf = np.empty(int(line_end[-1]), dtype=np.uint8)
+    buf[space] = _SPACE
+    buf[line_end - 1] = _NEWLINE
+    values = pairs.ravel()
+    pos = np.column_stack((space - 1, line_end - 2)).ravel()  # last digits
+    while True:
+        buf[pos] = _ZERO + values % 10
+        values = values // 10
+        left = values > 0
+        if not left.any():
+            return buf.tobytes()
+        values, pos = values[left], pos[left] - 1
+
+
 def write_edge_list(g: Graph, path: str) -> None:
-    """Write one "u v" line per edge (u < v, sorted); read_edge_list inverts it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={g.n}\n")
-        offsets, neighbors = g.offsets, g.neighbors
-        for u in range(g.n):
-            for v in neighbors[offsets[u] : offsets[u + 1]]:
-                if u < v:
-                    fh.write(f"{u} {v}\n")
+    """Write one "u v" line per edge (u < v, sorted); read_edge_list inverts it.
+
+    Lines are formatted by numpy in blocks of _WRITE_CHUNK edges, so the
+    formatting buffers stay bounded; the file is ASCII with "\n" line ends.
+    """
+    pairs = g.edge_pairs()
+    with open(path, "wb") as fh:
+        fh.write(f"# n={g.n}\n".encode("ascii"))
+        for start in range(0, len(pairs), _WRITE_CHUNK):
+            fh.write(_format_pairs(pairs[start : start + _WRITE_CHUNK]))

@@ -29,6 +29,7 @@ from .generators import (
     uniform_expected_degrees,
 )
 from .graph import Graph, largest_component
+from .sir import THREADS_ENV_VAR, worker_count
 from .spectral import bipartite_coloring, spectral_radius
 from .walker import CurvePoint, error_curve, local_oracle
 
@@ -48,18 +49,7 @@ __all__ = [
     "worker_count",
 ]
 
-THREADS_ENV_VAR = "EPITHRESH_THREADS"
-
 DEFAULT_BUDGET_FRACTIONS = (0.01, 0.02, 0.05, 0.10, 0.20, 0.50, 1.00)
-
-
-def worker_count() -> int:
-    """Replication worker count from the environment (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)

@@ -142,9 +142,12 @@ class RemoteOracle(GraphOracle):
         self._queries += 1
         self._seen.add(v)
         try:
-            return int(reply)
+            d = int(reply)
         except ValueError:
             raise OracleProtocolError(f"non-integer degree reply {reply!r}") from None
+        if d < 0:
+            raise OracleProtocolError(f"negative degree reply {reply!r} for node {v}")
+        return d
 
     def neighbor(self, v: int, k: int) -> int:
         reply = self._exchange(f"NBR {v} {k}")
@@ -153,6 +156,8 @@ class RemoteOracle(GraphOracle):
             u = int(reply)
         except ValueError:
             raise OracleProtocolError(f"non-integer neighbor reply {reply!r}") from None
+        if not 0 <= u < self._n:
+            raise OracleProtocolError(f"neighbor reply {reply!r} out of range [0, {self._n})")
         self._seen.add(v)
         self._seen.add(u)
         return u

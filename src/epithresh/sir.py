@@ -20,20 +20,30 @@ from .graph import Graph, _frontier_neighbors
 from .spectral import spectral_radius
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("EPITHRESH_THREADS", "1")
+__all__ = [
+    "SirParams",
+    "SirTrajectory",
+    "SweepRow",
+    "THREADS_ENV_VAR",
+    "sir_simulate",
+    "threshold_sweep",
+    "worker_count",
+]
+
+THREADS_ENV_VAR = "EPITHRESH_THREADS"
+
+
+def worker_count() -> int:
+    """Replication worker count from the environment (default 1).
+
+    Used by the SIR sweep and the experiment harness alike.
+    """
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
         return max(1, int(raw))
     except ValueError:
         return 1
 
-__all__ = [
-    "SirParams",
-    "SirTrajectory",
-    "SweepRow",
-    "sir_simulate",
-    "threshold_sweep",
-]
 
 _SUSCEPTIBLE, _INFECTED, _RECOVERED = 0, 1, 2
 
@@ -179,7 +189,7 @@ def threshold_sweep(
         )
         return traj.final_fraction
 
-    workers = _worker_count()
+    workers = worker_count()
     rows: list[SweepRow] = []
     for ratio, ratio_draws in zip(ratios, draws):
         beta = min(1.0, ratio * mu / lam)

@@ -10,13 +10,38 @@ Step accounting contract: every walk step issues exactly one degree query
 (for the node being left, reused as the sample value when sampling there)
 and one neighbor query, so a T-step walk costs T degree + T neighbor
 queries and touches at most T + 1 distinct nodes.
+
+Draw contract: a walk seeded with ``seed`` picks the neighbor index of each
+step as ``random.Random(seed).randrange(d)`` would, one draw per step from a
+single stream, where d is the degree of the node being left. The draw is
+inlined as CPython's ``_randbelow_with_getrandbits`` (``getrandbits`` of
+``d.bit_length()`` bits, redrawn while ``>= d``), which is the same stream.
+So a walk is a function of (oracle answers, seed, start) alone. A reported
+degree of 0 raises ZeroDegreeNodeError, a negative one ValueError.
+
+One stepping loop, ``_Walk.advance``, serves both ``random_walk_estimate``
+and ``error_curve``, and the walk owns its step, query and distinct-node
+tallies. A ``LocalOracle`` is stepped through unchecked list accessors and
+its counters are charged in bulk when the walk ends (also when it raises):
+``total_queries`` gains two per step and the walk's visited nodes join its
+seen set, exactly as the per-query calls would have left them. Such a walk
+keeps its distinct nodes in an n-byte mask and charges them with one O(n)
+numpy pass, small next to the oracle's own lists of n + 2m ints. Any other
+oracle answers each step through its own counted ``degree`` and
+``neighbor`` calls, one of each per step, in that order, and the walk keeps
+its distinct nodes in a dict that grows with the walk alone, whatever node
+count or ids the oracle reports.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Graph
 
@@ -112,6 +137,26 @@ class LocalOracle(GraphOracle):
         self._mark(u)
         return u
 
+    def _walk_accessors(self) -> tuple[Callable[[int], int], Callable[[int, int], int]]:
+        """Unchecked, uncounted (degree, neighbor) over the plain lists.
+
+        Only for a walk that starts in range, draws k below the degree, and
+        settles its queries with ``_charge`` when it ends.
+        """
+        off, nbr = self._off, self._nbr
+
+        def neighbor(v: int, k: int) -> int:
+            return nbr[off[v] + k]
+
+        return self._deg.__getitem__, neighbor
+
+    def _charge(self, queries: int, visited: bytearray) -> None:
+        """Count a finished walk's queries and its visited nodes (a 0/1 mask)."""
+        self._queries += queries
+        seen = np.frombuffer(self._seen, dtype=np.uint8)
+        np.bitwise_or(seen, np.frombuffer(visited, dtype=np.uint8), out=seen)
+        self._seen_count = int(np.count_nonzero(seen))
+
     @property
     def total_queries(self) -> int:
         return self._queries
@@ -129,6 +174,88 @@ class LocalOracle(GraphOracle):
 def local_oracle(g: Graph) -> LocalOracle:
     """Wrap a Graph as an in-memory oracle with fresh counters."""
     return LocalOracle(g)
+
+
+class _Walk:
+    """One walk's position and tallies, stepped only by ``advance``.
+
+    Use as a context manager: on exit, normal or not, a LocalOracle is
+    charged for the walk's queries and visited nodes.
+    """
+
+    def __init__(self, oracle: GraphOracle, seed: int, start: int, path: list[int] | None):
+        self._charge = None
+        if type(oracle) is LocalOracle:
+            n = oracle.node_count()
+            if not 0 <= start < n:
+                raise IndexError(f"node {start} out of range [0, {n})")
+            self._degree, self._neighbor = oracle._walk_accessors()
+            self._charge = oracle._charge
+            self.visited: bytearray | defaultdict[int, int] = bytearray(n)
+        else:
+            self._degree, self._neighbor = oracle.degree, oracle.neighbor
+            self.visited = defaultdict(int)
+        if path is not None:
+            path.append(start)
+            self._neighbor = _recording(self._neighbor, path.append)
+        self._getrandbits = random.Random(seed).getrandbits
+        self.x = start
+        self.steps = 0
+        self.queries = 0
+        self.visited[start] = 1
+        self.count = 1
+
+    def __enter__(self) -> "_Walk":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._charge is not None:
+            self._charge(self.queries, self.visited)
+
+    def advance(self, k: int, target: int | None = None) -> int:
+        """Take k >= 1 steps, or stop after a step that reaches a new node and
+        brings the distinct-node count to ``target``; returns the degree of
+        the last node left."""
+        degree, neighbor, getrandbits = self._degree, self._neighbor, self._getrandbits
+        visited, x, count = self.visited, self.x, self.count
+        if target is None:
+            target = count + k + 1  # k steps cannot get there
+        d = taken = 0
+        try:
+            for taken in range(1, k + 1):
+                d = degree(x)
+                if d <= 0:
+                    taken -= 1
+                    self.queries += 1  # the degree query that found the dead end
+                    if d == 0:
+                        raise ZeroDegreeNodeError(x)
+                    raise ValueError(f"oracle reported degree {d} for node {x}")
+                b = d.bit_length()  # randrange(d), see the draw contract
+                r = getrandbits(b)
+                while r >= d:
+                    r = getrandbits(b)
+                x = neighbor(x, r)
+                if not visited[x]:
+                    visited[x] = 1
+                    count += 1
+                    if count >= target:
+                        break
+        finally:
+            self.x, self.count = x, count
+            self.steps += taken
+            self.queries += 2 * taken
+        return d
+
+
+def _recording(neighbor: Callable[[int, int], int], append: Callable[[int], None]):
+    """A neighbor accessor that also appends every answer to a path."""
+
+    def traced(v: int, k: int) -> int:
+        u = neighbor(v, k)
+        append(u)
+        return u
+
+    return traced
 
 
 @dataclass(frozen=True)
@@ -188,44 +315,19 @@ def random_walk_estimate(
     With ``trace=True`` the report also carries the visited node sequence
     (start plus one node per step).
     """
-    rng = random.Random(cfg.seed)
-    randrange = rng.randrange
-    degree = oracle.degree
-    neighbor = oracle.neighbor
-
-    x = cfg.start
-    queries = 0
-    seen: set[int] = {x}
-    path: list[int] | None = [x] if trace else None
-
-    def step() -> int:
-        """Advance one step; returns the degree of the node being left."""
-        nonlocal x, queries
-        d = degree(x)
-        if d == 0:
-            raise ZeroDegreeNodeError(x)
-        x = neighbor(x, randrange(d))
-        queries += 2
-        seen.add(x)
-        if path is not None:
-            path.append(x)
-        return d
-
-    for _ in range(cfg.t_star):
-        step()
-    acc = 0
-    for i in range(cfg.r):
-        acc += step()  # sample = degree of the node the step leaves
-        if i < cfg.r - 1:
-            for _ in range(cfg.thin - 1):
-                step()
+    path: list[int] | None = [] if trace else None
+    with _Walk(oracle, cfg.seed, cfg.start, path) as walk:
+        # the samples are the degrees left at steps t_star, t_star + thin, ...
+        acc = walk.advance(cfg.t_star + 1)
+        for _ in range(cfg.r - 1):
+            acc += walk.advance(cfg.thin)
 
     return WalkReport(
         estimate=acc / cfg.r,
         r=cfg.r,
-        total_steps=cfg.total_steps,
-        total_queries=queries,
-        distinct_nodes_seen=len(seen),
+        total_steps=walk.steps,
+        total_queries=walk.queries,
+        distinct_nodes_seen=walk.count,
         start=cfg.start,
         seed=cfg.seed,
         nodes=tuple(path) if path is not None else None,
@@ -275,54 +377,41 @@ def error_curve(
     for seed in seeds:
         oracle = make_oracle()
         cap = max_steps if max_steps is not None else 1000 * oracle.node_count()
-        rng = random.Random(seed)
-        randrange = rng.randrange
-        degree = oracle.degree
-        neighbor = oracle.neighbor
-
-        x = start
-        seen: set[int] = {x}
-        steps = 0
         acc = 0
         samples = 0
         pending = iter(budgets)
         next_budget = next(pending)
 
-        def snapshot(budget: int) -> CurvePoint:
-            est = acc / samples if samples else float("nan")
-            return CurvePoint(
-                seed=seed,
-                budget=budget,
-                nodes_seen=len(seen),
-                steps=steps,
-                samples=samples,
-                estimate=est,
-                eps_t1=abs(est - t1_reference) / t1_reference,
-                eps_lambda=abs(est - lambda_reference) / lambda_reference,
-            )
+        with _Walk(oracle, seed, start, None) as walk:
 
-        done = False
-        while not done:
-            d = degree(x)
-            if d == 0:
-                raise ZeroDegreeNodeError(x)
-            if steps >= t_star and (steps - t_star) % thin == 0:
-                acc += d
-                samples += 1
-            x = neighbor(x, randrange(d))
-            steps += 1
-            seen.add(x)
-            while len(seen) >= next_budget:
-                points.append(snapshot(next_budget))
-                nxt = next(pending, None)
-                if nxt is None:
-                    done = True
-                    break
-                next_budget = nxt
-            if steps >= cap and not done:
-                # Budget unreachable in the step cap: emit the final state.
-                points.append(snapshot(next_budget))
-                for leftover in pending:
-                    points.append(snapshot(leftover))
-                done = True
+            def snapshot(budget: int) -> CurvePoint:
+                est = acc / samples if samples else float("nan")
+                return CurvePoint(
+                    seed=seed,
+                    budget=budget,
+                    nodes_seen=walk.count,
+                    steps=walk.steps,
+                    samples=samples,
+                    estimate=est,
+                    eps_t1=abs(est - t1_reference) / t1_reference,
+                    eps_lambda=abs(est - lambda_reference) / lambda_reference,
+                )
+
+            while next_budget is not None:
+                # Walk to the next sample step (t_star + j*thin), the step cap
+                # or the budget, whichever comes first; take at least one step.
+                steps = walk.steps
+                sample_step = t_star + max(0, -(-(steps - t_star) // thin)) * thin
+                d = walk.advance(max(1, min(sample_step + 1, cap) - steps), next_budget)
+                if walk.steps == sample_step + 1:
+                    acc += d
+                    samples += 1
+                while next_budget is not None and walk.count >= next_budget:
+                    points.append(snapshot(next_budget))
+                    next_budget = next(pending, None)
+                if next_budget is not None and walk.steps >= cap:
+                    # Budget unreachable in the step cap: emit the final state.
+                    points.append(snapshot(next_budget))
+                    points.extend(snapshot(b) for b in pending)
+                    next_budget = None
     return points

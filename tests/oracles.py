@@ -4,15 +4,25 @@ Everything here is deliberately implemented from scratch, without reusing
 the library's code paths, so tests compare two unrelated routes to the same
 quantity: a round-robin Jacobi eigensolver for spectral values, dict-of-sets
 degree recounts for graph statistics, a whole-file line-by-line edge-list
-parser, dense transition-matrix iteration for walk distributions, and a Hill
-estimator for tail exponents.
+parser and per-edge writer, dense transition-matrix iteration for walk
+distributions, the per-step walk and error-curve loops over the oracle's
+own counted queries, and a Hill estimator for tail exponents.
 """
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
-from epithresh.graph import EdgeListParseError
+from epithresh.graph import EdgeListParseError, Graph
+from epithresh.walker import (
+    CurvePoint,
+    GraphOracle,
+    WalkConfig,
+    WalkReport,
+    ZeroDegreeNodeError,
+)
 
 
 def dense_adjacency(g) -> np.ndarray:
@@ -175,3 +185,159 @@ def ccdf_slope(degrees: np.ndarray, d_low: int, d_high: int) -> float:
     y = np.log(ccdf[keep])
     slope = np.polyfit(x, y, 1)[0]
     return float(slope)
+
+
+# The per-step walk loops the walk kernel replaced: every query goes
+# through the oracle's own counted degree/neighbor calls.
+
+
+def step_loop_walk_estimate(
+    oracle: GraphOracle, cfg: WalkConfig, trace: bool = False
+) -> WalkReport:
+    """Estimate m2/m1 by averaging degree samples along a uniform random walk.
+
+    Burn-in runs ``cfg.t_star`` steps from ``cfg.start``; then each of the
+    r sampling rounds records the current node's degree and walks on
+    (``thin`` steps between samples, one trailing step after the last), so
+    the walk takes t_star + (r-1)*thin + 1 steps total. Fully deterministic
+    given (oracle contents, cfg). Raises ZeroDegreeNodeError if the walk
+    reaches an isolated node.
+
+    With ``trace=True`` the report also carries the visited node sequence
+    (start plus one node per step).
+    """
+    rng = random.Random(cfg.seed)
+    randrange = rng.randrange
+    degree = oracle.degree
+    neighbor = oracle.neighbor
+
+    x = cfg.start
+    queries = 0
+    seen: set[int] = {x}
+    path: list[int] | None = [x] if trace else None
+
+    def step() -> int:
+        """Advance one step; returns the degree of the node being left."""
+        nonlocal x, queries
+        d = degree(x)
+        if d == 0:
+            raise ZeroDegreeNodeError(x)
+        x = neighbor(x, randrange(d))
+        queries += 2
+        seen.add(x)
+        if path is not None:
+            path.append(x)
+        return d
+
+    for _ in range(cfg.t_star):
+        step()
+    acc = 0
+    for i in range(cfg.r):
+        acc += step()  # sample = degree of the node the step leaves
+        if i < cfg.r - 1:
+            for _ in range(cfg.thin - 1):
+                step()
+
+    return WalkReport(
+        estimate=acc / cfg.r,
+        r=cfg.r,
+        total_steps=cfg.total_steps,
+        total_queries=queries,
+        distinct_nodes_seen=len(seen),
+        start=cfg.start,
+        seed=cfg.seed,
+        nodes=tuple(path) if path is not None else None,
+    )
+
+
+def step_loop_error_curve(
+    make_oracle,
+    t1_reference: float,
+    lambda_reference: float,
+    seeds: list[int],
+    budgets: list[int],
+    t_star: int,
+    thin: int = 10,
+    start: int = 0,
+    max_steps: int | None = None,
+) -> list[CurvePoint]:
+    """Walk-estimate error versus distinct-nodes-seen budget, one walk per seed.
+
+    ``make_oracle`` is called once per seed so each walk carries fresh
+    counters. Each walk runs with the given burn-in and thinning, recording
+    its running degree average whenever the number of distinct nodes seen
+    first reaches a budget; relative errors are taken against the supplied
+    references. If the step cap is hit before the last budget, the remaining
+    budgets are reported with the walk's final state.
+    """
+    if not seeds:
+        raise ValueError("need at least one walk seed")
+    if not budgets or any(b <= 0 for b in budgets):
+        raise ValueError("budgets must be positive node counts")
+    budgets = sorted(budgets)
+    points: list[CurvePoint] = []
+    for seed in seeds:
+        oracle = make_oracle()
+        cap = max_steps if max_steps is not None else 1000 * oracle.node_count()
+        rng = random.Random(seed)
+        randrange = rng.randrange
+        degree = oracle.degree
+        neighbor = oracle.neighbor
+
+        x = start
+        seen: set[int] = {x}
+        steps = 0
+        acc = 0
+        samples = 0
+        pending = iter(budgets)
+        next_budget = next(pending)
+
+        def snapshot(budget: int) -> CurvePoint:
+            est = acc / samples if samples else float("nan")
+            return CurvePoint(
+                seed=seed,
+                budget=budget,
+                nodes_seen=len(seen),
+                steps=steps,
+                samples=samples,
+                estimate=est,
+                eps_t1=abs(est - t1_reference) / t1_reference,
+                eps_lambda=abs(est - lambda_reference) / lambda_reference,
+            )
+
+        done = False
+        while not done:
+            d = degree(x)
+            if d == 0:
+                raise ZeroDegreeNodeError(x)
+            if steps >= t_star and (steps - t_star) % thin == 0:
+                acc += d
+                samples += 1
+            x = neighbor(x, randrange(d))
+            steps += 1
+            seen.add(x)
+            while len(seen) >= next_budget:
+                points.append(snapshot(next_budget))
+                nxt = next(pending, None)
+                if nxt is None:
+                    done = True
+                    break
+                next_budget = nxt
+            if steps >= cap and not done:
+                # Budget unreachable in the step cap: emit the final state.
+                points.append(snapshot(next_budget))
+                for leftover in pending:
+                    points.append(snapshot(leftover))
+                done = True
+    return points
+
+
+def write_edge_list_lines(g: Graph, path: str) -> None:
+    """Write one "u v" line per edge (u < v, sorted); read_edge_list inverts it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n={g.n}\n")
+        offsets, neighbors = g.offsets, g.neighbors
+        for u in range(g.n):
+            for v in neighbors[offsets[u] : offsets[u + 1]]:
+                if u < v:
+                    fh.write(f"{u} {v}\n")

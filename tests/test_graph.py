@@ -19,7 +19,12 @@ from epithresh.graph import (
 )
 
 from conftest import complete_graph, random_graph, star_graph
-from oracles import dense_adjacency, read_edge_list_lines, recount_degree_sums
+from oracles import (
+    dense_adjacency,
+    read_edge_list_lines,
+    recount_degree_sums,
+    write_edge_list_lines,
+)
 
 
 class TestBuildGraph:
@@ -365,3 +370,95 @@ class TestChunkedReader:
             with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
                 with pytest.raises(UnicodeDecodeError):
                     read_edge_list(str(f))
+
+
+@st.composite
+def _writable_graphs(draw):
+    """Graphs with n=0, no edges, isolated high ids and ids of 1 to 6 digits."""
+    n = draw(st.one_of(st.just(0), st.integers(1, 12), st.integers(90, 120), st.integers(1, 300_000)))
+    if n < 2:
+        return build_graph([], n)
+    ids = st.one_of(st.integers(0, min(n - 1, 11)), st.integers(0, n - 1))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    return build_graph(edges, n)
+
+
+class TestEdgeListWriter:
+    """write_edge_list against the per-edge line writer."""
+
+    @given(g=_writable_graphs(), chunk=st.sampled_from([1, 3, 1 << 18]))
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_line_writer(self, g, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            want, got = os.path.join(tmp, "want.txt"), os.path.join(tmp, "got.txt")
+            write_edge_list_lines(g, want)
+            with mock.patch.object(graph_module, "_WRITE_CHUNK", chunk):
+                write_edge_list(g, got)
+            with open(want, "rb") as a, open(got, "rb") as b:
+                assert b.read() == a.read()
+
+    @given(pairs=st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)), min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_formatter_widths_up_to_19_digits(self, pairs):
+        arr = np.array(pairs, dtype=np.int64)
+        want = "".join(f"{u} {v}\n" for u, v in pairs).encode("ascii")
+        assert graph_module._format_pairs(arr) == want
+
+    @pytest.mark.parametrize("value", [0, 9, 10, 99, 100, 10**18 - 1, 10**18, 2**63 - 1])
+    def test_formatter_around_powers_of_ten(self, value):
+        assert graph_module._format_pairs(np.array([[value, 7]])) == f"{value} 7\n".encode()
+
+
+class TestNodeCountCap:
+    """Graphs whose int64 pair codes would overflow are refused before any
+    allocation; only counts above the cap are used here."""
+
+    def test_cap_is_the_int64_square_root(self):
+        cap = graph_module._MAX_NODES
+        assert cap == 3_037_000_499
+        assert cap * cap - 1 < 2**63 <= (cap + 1) * (cap + 1) - 1
+
+    @pytest.mark.parametrize("n", [3_037_000_500, 2**62])
+    def test_build_refuses_huge_node_count(self, n):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            build_graph_with_report([], n)
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            build_graph([(0, 1)], n)
+
+    @pytest.mark.parametrize(
+        "lines, line_no",
+        [
+            (["0 1", "0 4611686018427387903"], 2),
+            (["3037000499 0"], 1),
+            (["# n=3037000500", "0 1"], 1),
+            (["0 1", "1 2", "  #n=99999999999999999999 "], 3),
+            (["0 1", "# comment", "0003037000499 1", "x y"], 3),
+            (["0 1", "2 9999999999", "x y"], 2),
+            (["0 1", "# c", "1 2", "3037000500 7", "3 4", "1 2 3", "9999999999 0"], 4),
+        ],
+    )
+    def test_reader_names_the_line(self, tmp_path, lines, line_no):
+        f = tmp_path / "g.txt"
+        f.write_text("\n".join(lines) + "\n")
+        for chunk in (1, 7, graph_module._READ_CHUNK):
+            with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+                with pytest.raises(EdgeListParseError, match="supported maximum") as got:
+                    read_edge_list(str(f))
+            assert got.value.line_no == line_no
+
+    def test_earlier_bad_line_wins_over_a_plain_huge_id(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("0 1\n1 2 3\n3037000500 1\n")
+        for chunk in (1, 7, graph_module._READ_CHUNK):
+            with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+                with pytest.raises(EdgeListParseError, match="expected 'u v'") as got:
+                    read_edge_list(str(f))
+            assert got.value.line_no == 2
+
+    def test_ten_digit_ids_below_the_cap_parse_in_bulk(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("0000000001 0000000002\n# n=3\n")
+        with mock.patch.object(graph_module, "_parse_line", wraps=graph_module._parse_line) as per_line:
+            g = read_edge_list(str(f))
+        assert g.n == 3 and g.edge_pairs().tolist() == [[1, 2]]
+        assert per_line.call_count == 1  # the "# n=" line only

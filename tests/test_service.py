@@ -1,4 +1,5 @@
 import socket
+import socketserver
 import threading
 
 import pytest
@@ -9,7 +10,7 @@ from epithresh.service import (
     remote_oracle,
     serve_oracle,
 )
-from epithresh.walker import WalkConfig, local_oracle, random_walk_estimate
+from epithresh.walker import WalkConfig, error_curve, local_oracle, random_walk_estimate
 
 from conftest import random_connected_graph, star_graph
 
@@ -41,6 +42,29 @@ class TestProtocol:
         assert handle_request(graph_with_degree_4_at_3, "DEG x").startswith("ERR")
         assert handle_request(graph_with_degree_4_at_3, "").startswith("ERR")
         assert handle_request(graph_with_degree_4_at_3, "PING 1") == "ERR unknown-command"
+
+
+class _ScriptedServer(socketserver.ThreadingTCPServer):
+    """A misbehaving oracle server: "N" gets "4", "DEG ..." gets ``degree``
+    and "NBR ..." gets ``neighbor``."""
+
+    daemon_threads = True
+
+    def __init__(self, degree: str, neighbor: str):
+        self.replies = {b"N": b"4", b"DEG": degree.encode(), b"NBR": neighbor.encode()}
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(handler):
+                for line in handler.rfile:
+                    reply = self.replies.get(line.split()[0], b"ERR unknown")
+                    handler.wfile.write(reply + b"\n")
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        threading.Thread(target=self.serve_forever, daemon=True).start()
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        super().__exit__(*exc)
 
 
 class TestRemoteOracle:
@@ -103,3 +127,23 @@ class TestRemoteOracle:
             for t in threads:
                 t.join()
         assert all(value == expected for value in results.values())
+
+    @pytest.mark.parametrize("reply", ["-1", "-99999999999999999999"])
+    def test_negative_degree_reply_raises(self, reply):
+        with _ScriptedServer(degree=reply, neighbor="1") as server:
+            with remote_oracle(server.server_address, timeout=5) as remote:
+                with pytest.raises(OracleProtocolError, match="negative degree"):
+                    remote.degree(0)
+                with pytest.raises(OracleProtocolError, match="negative degree"):
+                    random_walk_estimate(remote, WalkConfig(t_star=3, r=2))
+                assert remote.total_queries == 2
+
+    @pytest.mark.parametrize("reply", ["-1", "4", "10000000000000"])
+    def test_out_of_range_neighbor_reply_raises(self, reply):
+        with _ScriptedServer(degree="2", neighbor=reply) as server:
+            with remote_oracle(server.server_address, timeout=5) as remote:
+                with pytest.raises(OracleProtocolError, match=r"out of range \[0, 4\)"):
+                    remote.neighbor(0, 1)
+                assert remote.distinct_nodes_seen == 0
+                with pytest.raises(OracleProtocolError, match="out of range"):
+                    error_curve(lambda: remote, 2.0, 2.0, [1], [3], t_star=0)

@@ -1,11 +1,20 @@
+import dataclasses
+import math
+import random
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epithresh.estimators import sample_size, t1_estimate
 from epithresh.generators import chung_lu_sample_fast, uniform_expected_degrees
 from epithresh.graph import build_graph, degree_stats, largest_component
 from epithresh.spectral import spectral_gap
 from epithresh.walker import (
+    GraphOracle,
+    LocalOracle,
     WalkConfig,
     ZeroDegreeNodeError,
     error_curve,
@@ -14,7 +23,7 @@ from epithresh.walker import (
 )
 
 from conftest import complete_graph, cycle_graph, random_connected_graph, star_graph
-from oracles import pi_weighted_mean_degree
+from oracles import pi_weighted_mean_degree, step_loop_error_curve, step_loop_walk_estimate
 
 
 class TestLocalOracle:
@@ -184,3 +193,251 @@ class TestErrorCurve:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             error_curve(lambda: None, 1.0, 1.0, [], [1], t_star=0)
+
+
+class _CheckedOracle(LocalOracle):
+    """A LocalOracle subclass, so walks take the per-query path; it logs
+    every query in order."""
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.log = []
+
+    def degree(self, v):
+        self.log.append(("DEG", v))
+        return super().degree(v)
+
+    def neighbor(self, v, k):
+        self.log.append(("NBR", v, k))
+        return super().neighbor(v, k)
+
+
+@st.composite
+def _walk_graphs(draw):
+    """Small graphs that may be disconnected and hold isolated nodes."""
+    n = draw(st.integers(2, 14))
+    ids = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    return build_graph([(0, 1)] + edges, n)
+
+
+_configs = st.builds(
+    WalkConfig,
+    t_star=st.integers(0, 25),
+    r=st.integers(1, 25),
+    thin=st.integers(1, 6),
+    seed=st.integers(0, 2**64),
+)
+
+
+def _same_points(got, want):
+    """CurvePoint lists equal field by field, with NaN equal to NaN."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
+            assert x == y or (math.isnan(x) and math.isnan(y)), (a, b)
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except ZeroDegreeNodeError as exc:
+        return None, exc.node
+
+
+def _outcome_of(fn):
+    """The exception fn raises, or None."""
+    try:
+        fn()
+    except Exception as exc:
+        return exc
+    return None
+
+
+class TestWalkKernel:
+    """The walk kernel against the per-step loops it replaced."""
+
+    @given(g=_walk_graphs(), cfgs=st.lists(_configs, min_size=1, max_size=3),
+           starts=st.lists(st.integers(0, 13), min_size=3, max_size=3), trace=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_reports_and_counters_match_step_loop(self, g, cfgs, starts, trace):
+        fast, slow = local_oracle(g), local_oracle(g)
+        checked, logged = _CheckedOracle(g), _CheckedOracle(g)
+        for cfg, start in zip(cfgs, starts):
+            cfg = dataclasses.replace(cfg, start=start % g.n)
+            want = _outcome(lambda: step_loop_walk_estimate(slow, cfg, trace=trace))
+            assert _outcome(lambda: random_walk_estimate(fast, cfg, trace=trace)) == want
+            assert (fast.total_queries, fast.distinct_nodes_seen) == (
+                slow.total_queries, slow.distinct_nodes_seen)
+            # the per-query path: same report and the same queries, in order
+            assert _outcome(lambda: random_walk_estimate(checked, cfg, trace=trace)) == want
+            _outcome(lambda: step_loop_walk_estimate(logged, cfg, trace=trace))
+            assert checked.log == logged.log
+            assert (checked.total_queries, checked.distinct_nodes_seen) == (
+                slow.total_queries, slow.distinct_nodes_seen)
+            report, _ = want
+            if report is not None and trace:
+                assert len(report.nodes) == report.total_steps + 1
+
+    @given(g=_walk_graphs(), seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+           budgets=st.lists(st.integers(1, 17), min_size=1, max_size=5),
+           t_star=st.integers(0, 12), thin=st.integers(1, 5), start=st.integers(0, 13),
+           max_steps=st.one_of(st.none(), st.integers(0, 150)), shared=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_error_curve_matches_step_loop(self, g, seeds, budgets, t_star, thin, start,
+                                           max_steps, shared):
+        start %= g.n
+        if max_steps is None and max(budgets) > g.n:
+            max_steps = 2000  # the default cap of 1000*n steps is slow in the step loop
+        one = {"fast": local_oracle(g), "slow": local_oracle(g)}
+
+        def run(curve, key):
+            make = (lambda: one[key]) if shared else (lambda: local_oracle(g))
+            return _outcome(lambda: curve(make, 2.0, 3.0, seeds, budgets, t_star=t_star,
+                                          thin=thin, start=start, max_steps=max_steps))
+
+        (got, got_stuck) = run(error_curve, "fast")
+        (want, want_stuck) = run(step_loop_error_curve, "slow")
+        assert got_stuck == want_stuck
+        if want is not None:
+            _same_points(got, want)
+        assert (one["fast"].total_queries, one["fast"].distinct_nodes_seen) == (
+            one["slow"].total_queries, one["slow"].distinct_nodes_seen)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            WalkConfig(t_star=0, r=1, thin=1, seed=4),
+            WalkConfig(t_star=0, r=200, thin=1, seed=5),
+            WalkConfig(t_star=37, r=1, thin=9, seed=6),
+            WalkConfig(t_star=3, r=50, thin=7, seed=7),
+        ],
+    )
+    def test_corner_configs_on_a_chung_lu_core(self, cfg):
+        ed = uniform_expected_degrees(300, 2.0, 9.0, seed=1)
+        g, _ = largest_component(chung_lu_sample_fast(ed, 2))
+        fast, slow = local_oracle(g), local_oracle(g)
+        assert random_walk_estimate(fast, cfg, trace=True) == step_loop_walk_estimate(
+            slow, cfg, trace=True)
+        assert (fast.total_queries, fast.distinct_nodes_seen) == (
+            slow.total_queries, slow.distinct_nodes_seen)
+        budgets = [1, 2, g.n // 2, g.n, g.n + 5]
+        for max_steps in (0, 1, 400):
+            _same_points(
+                error_curve(lambda: local_oracle(g), 2.0, 3.0, [1, 2], budgets, cfg.t_star,
+                            cfg.thin, max_steps=max_steps),
+                step_loop_error_curve(lambda: local_oracle(g), 2.0, 3.0, [1, 2], budgets,
+                                      cfg.t_star, cfg.thin, max_steps=max_steps),
+            )
+
+    @pytest.mark.parametrize("start", [-1, -5, 5, 6, 10**9])
+    def test_out_of_range_start_raises_index_error(self, start):
+        oracle = local_oracle(cycle_graph(5))
+        with pytest.raises(IndexError, match=f"node {start} out of range"):
+            random_walk_estimate(oracle, WalkConfig(t_star=3, r=2, start=start))
+        with pytest.raises(IndexError):
+            error_curve(lambda: oracle, 2.0, 2.0, [1], [3], t_star=0, start=start)
+        assert (oracle.total_queries, oracle.distinct_nodes_seen) == (0, 0)
+
+    def test_isolated_start_charges_like_the_step_loop(self):
+        g = build_graph([(1, 2)], 4)  # nodes 0 and 3 isolated
+        fast, slow = local_oracle(g), local_oracle(g)
+        for start in (0, 3):
+            cfg = WalkConfig(t_star=2, r=3, start=start)
+            with pytest.raises(ZeroDegreeNodeError, match=f"node {start}"):
+                random_walk_estimate(fast, cfg)
+            with pytest.raises(ZeroDegreeNodeError, match=f"node {start}"):
+                step_loop_walk_estimate(slow, cfg)
+            assert (fast.total_queries, fast.distinct_nodes_seen) == (
+                slow.total_queries, slow.distinct_nodes_seen)
+        assert (fast.total_queries, fast.distinct_nodes_seen) == (2, 2)
+        with pytest.raises(ZeroDegreeNodeError, match="node 3"):
+            error_curve(lambda: fast, 1.0, 1.0, [1], [2], t_star=0, start=3)
+        assert (fast.total_queries, fast.distinct_nodes_seen) == (3, 2)
+
+    def test_draw_is_randrange_over_one_stream(self):
+        """Each step's neighbor index is Random(seed).randrange(degree)."""
+        degrees = list(range(1, 4097)) + [
+            2**k + j for k in range(1, 63) for j in (-1, 0, 1)
+        ]
+
+        class Scripted(GraphOracle):
+            """Node 0 with the scripted degree sequence; records each draw."""
+
+            def __init__(self):
+                self.draws = []
+
+            def node_count(self):
+                return 1
+
+            def degree(self, v):
+                return degrees[len(self.draws)]
+
+            def neighbor(self, v, k):
+                self.draws.append(k)
+                return 0
+
+            total_queries = distinct_nodes_seen = 0
+
+            def reset_counters(self):
+                pass
+
+        for seed in (0, 1, 2**40 + 3):
+            oracle = Scripted()
+            random_walk_estimate(oracle, WalkConfig(t_star=len(degrees) - 1, r=1, seed=seed))
+            rng = random.Random(seed)
+            assert oracle.draws == [rng.randrange(d) for d in degrees]
+
+    @pytest.mark.parametrize("degree", [-1, -2**70])
+    def test_negative_degree_raises_value_error(self, degree):
+        oracle = _Foreign(n=4, degree=degree)
+        walks = [
+            lambda: random_walk_estimate(oracle, WalkConfig(t_star=3, r=2, start=2)),
+            lambda: error_curve(lambda: oracle, 2.0, 2.0, [1], [3], t_star=0, start=2),
+        ]
+        for walk in walks:
+            # in a thread, so that a draw that never ends fails the test
+            errors = []
+            worker = threading.Thread(target=lambda: errors.append(_outcome_of(walk)), daemon=True)
+            worker.start()
+            worker.join(timeout=10)
+            assert len(errors) == 1, "the walk did not end"
+            assert isinstance(errors[0], ValueError)
+            assert f"degree {degree} for node 2" in str(errors[0])
+
+    @pytest.mark.parametrize("n", [4, 2**62])
+    def test_foreign_ids_count_like_the_step_loop(self, n):
+        """Ids outside [0, n), negative ones too, and a node count far above
+        what could be allocated are tallied as the set-based step loop did."""
+        for seed in range(5):
+            cfg = WalkConfig(t_star=7, r=30, thin=2, seed=seed, start=1)
+            assert random_walk_estimate(_Foreign(n), cfg, trace=True) == (
+                step_loop_walk_estimate(_Foreign(n), cfg, trace=True))
+        budgets = [1, 3, 6, 9, 11, 12]
+        _same_points(
+            error_curve(lambda: _Foreign(n), 2.0, 3.0, [0, 1, 2], budgets, 3, 2, max_steps=300),
+            step_loop_error_curve(lambda: _Foreign(n), 2.0, 3.0, [0, 1, 2], budgets, 3, 2,
+                                  max_steps=300),
+        )
+
+
+class _Foreign(GraphOracle):
+    """An oracle that reports n nodes but answers node ids from -3 to 7, each
+    of degree ``degree``; it keeps no counters."""
+
+    def __init__(self, n, degree=3):
+        self.n, self.d = n, degree
+
+    def node_count(self):
+        return self.n
+
+    def degree(self, v):
+        return self.d
+
+    def neighbor(self, v, k):
+        return (7 * v + k) % 11 - 3
+
+    total_queries = distinct_nodes_seen = 0
+
+    def reset_counters(self):
+        pass
