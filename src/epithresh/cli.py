@@ -30,12 +30,11 @@ from .generators import (
     chung_lu_sample_naive,
     count_clamped_pairs,
     expected_degrees,
-    power_law_expected_degrees,
     preferential_attachment,
-    uniform_expected_degrees,
 )
 from .graph import degree_stats, largest_component, read_edge_list, write_edge_list
 from .harness import (
+    chung_lu_degrees,
     run_synthetic_experiment,
     run_t1_benchmark,
     write_curve_csv,
@@ -59,13 +58,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _parse_addr(text: str) -> tuple[str, int]:
@@ -75,14 +77,19 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _model_params(args) -> dict:
+    """The model parameters named by the generate/experiment arguments."""
+    if args.model == "pa":
+        return {"edges_per_node": args.edges_per_node}
+    if args.deg_dist == "powerlaw":
+        return {"deg_dist": "powerlaw", "beta": args.beta, "d_min": args.dmin}
+    return {"deg_dist": "uniform", "low": args.low, "high": args.high}
+
+
 def _cmd_generate(args) -> int:
+    params = _model_params(args)
     if args.model == "chung-lu":
-        if args.deg_dist == "powerlaw":
-            ed = power_law_expected_degrees(args.n, args.beta, args.dmin, args.seed)
-            params = {"deg_dist": "powerlaw", "beta": args.beta, "d_min": args.dmin}
-        else:
-            ed = uniform_expected_degrees(args.n, args.low, args.high, args.seed)
-            params = {"deg_dist": "uniform", "low": args.low, "high": args.high}
+        ed, params = chung_lu_degrees(args.n, args.seed, params)
         sampler = chung_lu_sample_naive if args.sampler == "naive" else chung_lu_sample_fast
         g = sampler(ed, args.seed + 1)
         sidecar = {
@@ -102,7 +109,7 @@ def _cmd_generate(args) -> int:
         g = preferential_attachment(args.n, args.edges_per_node, args.seed)
         sidecar = {
             "model": "pa",
-            "edges_per_node": args.edges_per_node,
+            **params,
             "n": g.n,
             "m": g.m,
             "seed": args.seed,
@@ -269,12 +276,7 @@ def _cmd_sir(args) -> int:
     for t in range(len(traj.s)):
         lines.append(f"{t},{traj.s[t]},{traj.i[t]},{traj.r[t]}")
     lines.append(f"# final_size={traj.final_size} steps={traj.steps}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -292,12 +294,7 @@ def _cmd_sweep(args) -> int:
             f"{row.ratio},{row.beta!r},{row.mu},{row.mean_final_fraction!r},"
             f"{row.sd_final_fraction!r},{row.reps}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -311,20 +308,11 @@ def _cmd_bench_t1(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    params: dict = {}
-    if args.model == "chung-lu":
-        params["deg_dist"] = args.deg_dist
-        if args.deg_dist == "powerlaw":
-            params.update({"beta": args.beta, "d_min": args.dmin})
-        else:
-            params.update({"low": args.low, "high": args.high})
-    else:
-        params["edges_per_node"] = args.edges_per_node
     result = run_synthetic_experiment(
         args.model,
         args.n,
         seed=args.seed,
-        params=params,
+        params=_model_params(args),
         walk_seeds=args.walk_seeds,
         thin=args.thin,
     )

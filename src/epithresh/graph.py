@@ -45,6 +45,7 @@ _TAB, _NEWLINE, _SPACE, _ZERO, _NINE = b"\t\n 09"
 _WRITE_CHUNK = 1 << 18
 # 10, 100, ..., 10**18: an id has one digit more than it has powers <= it.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_ROOT_WINDOW = 64  # first window of _components' search for its next root
 
 
 class EdgeListParseError(ValueError):
@@ -246,37 +247,49 @@ def _frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
     return g.neighbors[pos]
 
 
-def _component_labels(g: Graph) -> tuple[np.ndarray, int]:
-    """Label nodes by connected component via BFS, in ascending root order."""
-    labels = np.full(g.n, -1, dtype=np.int64)
-    count = 0
-    for root in range(g.n):
-        if labels[root] >= 0:
+def _components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """One level-synchronous BFS: ``root[v]``, the smallest node of v's
+    component, and ``parity[v]`` (int8), the parity of v's BFS level from it.
+
+    Degree-0 nodes are labeled in one step. Each next root is found by a
+    vectorized search in windows that double from the last root, so Python
+    loops run per component with an edge and per BFS level, never per node.
+    """
+    root = np.where(g.degrees > 0, -1, np.arange(g.n, dtype=np.int64))
+    parity = np.zeros(g.n, dtype=np.int8)
+    start, window = 0, _ROOT_WINDOW
+    while start < g.n:
+        hits = np.flatnonzero(root[start : start + window] < 0)
+        if not hits.size:
+            start, window = start + window, 2 * window
             continue
-        labels[root] = count
-        frontier = np.array([root], dtype=np.int64)
+        r = start + int(hits[0])
+        root[r] = r
+        frontier = np.array([r], dtype=np.int64)
+        level = 0
         while frontier.size:
             nbrs = _frontier_neighbors(g, frontier)
-            frontier = _sorted_unique(nbrs[labels[nbrs] < 0])
-            labels[frontier] = count
-        count += 1
-    return labels, count
+            frontier = _sorted_unique(nbrs[root[nbrs] < 0])
+            level ^= 1
+            root[frontier] = r
+            parity[frontier] = level
+        start, window = r + 1, _ROOT_WINDOW
+    return root, parity
 
 
 def largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on the largest connected component.
 
     Returns the subgraph (node ids relabeled densely, order-preserving) and
-    the old-to-new id map (-1 for excluded nodes). Ties between equal-size
-    components go to the one containing the smallest node id.
+    the old-to-new id map (-1 for excluded nodes). Components come from the
+    one BFS in :func:`_components`; ties between equal-size components go
+    to the one containing the smallest node id.
     """
     if g.n == 0:
         raise ValueError("cannot extract a component from an empty graph")
-    labels, count = _component_labels(g)
-    sizes = np.bincount(labels, minlength=count)
-    # argmax keeps the first (smallest-root) component on ties
-    best = int(np.argmax(sizes))
-    keep = labels == best
+    root, _ = _components(g)
+    # argmax keeps the smallest root on ties
+    keep = root == int(np.argmax(np.bincount(root)))
     mapping = np.full(g.n, -1, dtype=np.int64)
     mapping[keep] = np.arange(int(keep.sum()), dtype=np.int64)
     pairs = g.edge_pairs()

@@ -14,7 +14,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,7 +28,6 @@ from .generators import (
     uniform_expected_degrees,
 )
 from .graph import Graph, largest_component
-from .sir import THREADS_ENV_VAR, worker_count
 from .spectral import bipartite_coloring, spectral_radius
 from .walker import CurvePoint, error_curve, local_oracle
 
@@ -40,13 +38,12 @@ __all__ = [
     "CurveSummary",
     "ExperimentResult",
     "DEFAULT_BUDGET_FRACTIONS",
-    "THREADS_ENV_VAR",
+    "chung_lu_degrees",
     "theta_product_expected_degrees",
     "run_t1_benchmark",
     "run_synthetic_experiment",
     "write_records_csv",
     "write_curve_csv",
-    "worker_count",
 ]
 
 DEFAULT_BUDGET_FRACTIONS = (0.01, 0.02, 0.05, 0.10, 0.20, 0.50, 1.00)
@@ -215,25 +212,31 @@ def run_t1_benchmark(
     return records, summary, config
 
 
+def chung_lu_degrees(n: int, seed: int, params: dict) -> tuple[ExpectedDegrees, dict]:
+    """Expected degrees drawn from ``seed`` and the parameters used, for a
+    Chung-Lu ``params`` of ``deg_dist`` "powerlaw" (``beta``, ``d_min``) or
+    "uniform" (``low``, ``high``), missing entries taking their defaults.
+    The graph itself is then sampled from ``seed + 1``."""
+    dist = params.get("deg_dist", "powerlaw")
+    if dist == "powerlaw":
+        beta = float(params.get("beta", 2.5))
+        d_min = float(params.get("d_min", 1.0))
+        ed = power_law_expected_degrees(n, beta, d_min, seed)
+        return ed, {"deg_dist": "powerlaw", "beta": beta, "d_min": d_min}
+    if dist == "uniform":
+        low = float(params.get("low", 20.0))
+        high = float(params.get("high", 80.0))
+        ed = uniform_expected_degrees(n, low, high, seed)
+        return ed, {"deg_dist": "uniform", "low": low, "high": high}
+    raise ValueError(f"unknown degree distribution {dist!r}")
+
+
 def _generate_model_graph(
     model: str, n: int, seed: int, params: dict
 ) -> tuple[Graph, dict]:
     if model == "chung-lu":
-        dist = params.get("deg_dist", "powerlaw")
-        if dist == "powerlaw":
-            beta = float(params.get("beta", 2.5))
-            d_min = float(params.get("d_min", 1.0))
-            ed = power_law_expected_degrees(n, beta, d_min, seed)
-            used = {"deg_dist": "powerlaw", "beta": beta, "d_min": d_min}
-        elif dist == "uniform":
-            low = float(params.get("low", 20.0))
-            high = float(params.get("high", 80.0))
-            ed = uniform_expected_degrees(n, low, high, seed)
-            used = {"deg_dist": "uniform", "low": low, "high": high}
-        else:
-            raise ValueError(f"unknown degree distribution {dist!r}")
-        graph_seed = seed + 1
-        return chung_lu_sample_fast(ed, graph_seed), used
+        ed, used = chung_lu_degrees(n, seed, params)
+        return chung_lu_sample_fast(ed, seed + 1), used
     if model == "pa":
         epn = int(params.get("edges_per_node", 5))
         return preferential_attachment(n, epn, seed), {"edges_per_node": epn}
@@ -297,8 +300,11 @@ def run_synthetic_experiment(
     burn_in = t_star if t_star is not None else math.ceil(10.0 * math.log(component.n))
     budgets = sorted({max(1, math.ceil(f * component.n)) for f in budget_fractions})
 
-    def one_walk(walk_seed: int) -> list[CurvePoint]:
-        return error_curve(
+    # one error_curve call per seed frees each walk's oracle before the next
+    points = [
+        point
+        for walk_seed in seeds
+        for point in error_curve(
             make_oracle=lambda: local_oracle(component),
             t1_reference=comp_t1,
             lambda_reference=comp_lambda,
@@ -307,14 +313,7 @@ def run_synthetic_experiment(
             t_star=burn_in,
             thin=thin,
         )
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(one_walk, seeds))
-    else:
-        per_seed = [one_walk(s) for s in seeds]
-    points = [p for chunk in per_seed for p in chunk]
+    ]
 
     records: list[ExperimentRecord] = []
     final_budget = budgets[-1]

@@ -9,6 +9,9 @@ is deliberately tiny - one LF-terminated request per line:
     "NBR <v> <k>" -> "<k-th sorted neighbor of v>"
     anything bad ->  "ERR <reason>"
 
+Lines hold at most _MAX_LINE bytes: a longer request gets "ERR line-too-long"
+and the connection is closed; a longer reply raises OracleProtocolError.
+
 A walk against a RemoteOracle is bit-identical to the same walk against a
 LocalOracle on the same graph: both answer from the same sorted adjacency.
 """
@@ -31,10 +34,21 @@ __all__ = [
 ]
 
 _ENCODING = "ascii"
+# The longest valid request, "NBR" and two 19-digit ids, is 44 bytes with its
+# newline; every valid reply is shorter.
+_MAX_LINE = 128
 
 
 class OracleProtocolError(RuntimeError):
     """Malformed response or server-reported error over the wire."""
+
+
+def _read_line(rfile) -> bytes | None:
+    """The next line (b"" at EOF), or None if it exceeds _MAX_LINE bytes."""
+    raw = rfile.readline(_MAX_LINE)
+    if len(raw) == _MAX_LINE and not raw.endswith(b"\n"):
+        return None
+    return raw
 
 
 def handle_request(g: Graph, line: str) -> str:
@@ -65,7 +79,10 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         graph = self.server.graph  # type: ignore[attr-defined]
         while True:
-            raw = self.rfile.readline()
+            raw = _read_line(self.rfile)
+            if raw is None:
+                self.wfile.write(b"ERR line-too-long\n")
+                return
             if not raw:
                 return
             line = raw.decode(_ENCODING, errors="replace").strip()
@@ -126,7 +143,9 @@ class RemoteOracle(GraphOracle):
     def _exchange(self, request: str) -> str:
         self._file.write((request + "\n").encode(_ENCODING))
         self._file.flush()
-        raw = self._file.readline()
+        raw = _read_line(self._file)
+        if raw is None:
+            raise OracleProtocolError(f"reply to {request!r} exceeds {_MAX_LINE} bytes")
         if not raw:
             raise OracleProtocolError("connection closed by oracle server")
         reply = raw.decode(_ENCODING, errors="replace").strip()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _frontier_neighbors, _sorted_unique
+from .graph import Graph, _components
 
 Matvec = Callable[[np.ndarray], np.ndarray]
 
@@ -32,7 +32,6 @@ __all__ = [
     "tv_mixing_time",
     "stationary_distribution",
     "adjacency_matvec",
-    "is_connected",
     "bipartite_coloring",
 ]
 
@@ -111,43 +110,21 @@ def adjacency_matvec(g: Graph, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    reached = 1
-    while frontier.size:
-        nbrs = _frontier_neighbors(g, frontier)
-        fresh = _sorted_unique(nbrs[~seen[nbrs]])
-        seen[fresh] = True
-        reached += fresh.size
-        frontier = fresh
-    return reached == g.n
+def _two_coloring(g: Graph, parity: np.ndarray) -> np.ndarray | None:
+    """``parity`` as int64 colors if every edge joins unequal parities, else None."""
+    if (np.repeat(parity, g.degrees) != parity[g.neighbors]).all():
+        return parity.astype(np.int64)
+    return None
 
 
 def bipartite_coloring(g: Graph) -> np.ndarray | None:
-    """BFS 2-coloring. Returns the color array (0/1 per node) or None if an
-    odd cycle exists. Unreached nodes are colored 0."""
-    color = np.full(g.n, -1, dtype=np.int8)
-    for root in range(g.n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            cu = color[u]
-            for v in g.neighbors_of(u):
-                if color[v] < 0:
-                    color[v] = 1 - cu
-                    queue.append(int(v))
-                elif color[v] == cu:
-                    return None
-    return color.astype(np.int64)
+    """BFS 2-coloring: 0/1 per node, or None if an odd cycle exists.
+
+    The color is the parity of the node's BFS level from the smallest node
+    of its component (isolated nodes get 0), taken from the one traversal
+    in ``graph._components`` and checked against every edge.
+    """
+    return _two_coloring(g, _components(g)[1])
 
 
 def _lanczos(matvec: Matvec, q: np.ndarray, deflate: np.ndarray | None):
@@ -309,7 +286,7 @@ def spectral_gap(
     """
     if g.n == 0 or g.m == 0:
         raise ValueError("spectral_gap requires a nonempty graph with at least one edge")
-    if not is_connected(g):
+    if _components(g)[0].any():
         raise DisconnectedGraphError(
             "graph is disconnected: top eigenvalue multiplicity > 1"
         )
@@ -358,9 +335,10 @@ def tv_mixing_time(g: Graph, start: int, threshold: float | None = None) -> int:
         raise ValueError("mixing time undefined on an edgeless graph")
     if not (0 <= start < g.n):
         raise ValueError(f"start node {start} out of range [0, {g.n})")
-    if not is_connected(g):
+    root, parity = _components(g)
+    if root.any():
         raise DisconnectedGraphError("mixing time undefined on a disconnected graph")
-    coloring = bipartite_coloring(g)
+    coloring = _two_coloring(g, parity)
     if coloring is not None:
         raise BipartiteGraphError(coloring)
 

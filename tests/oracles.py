@@ -6,7 +6,9 @@ quantity: a round-robin Jacobi eigensolver for spectral values, dict-of-sets
 degree recounts for graph statistics, a whole-file line-by-line edge-list
 parser and per-edge writer, dense transition-matrix iteration for walk
 distributions, the per-step walk and error-curve loops over the oracle's
-own counted queries, and a Hill estimator for tail exponents.
+own counted queries, a Hill estimator for tail exponents, and the
+separate connectivity BFS and per-node stack 2-coloring that the one
+component traversal replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 
 import numpy as np
 
-from epithresh.graph import EdgeListParseError, Graph
+from epithresh.graph import EdgeListParseError, Graph, _frontier_neighbors, _sorted_unique
 from epithresh.walker import (
     CurvePoint,
     GraphOracle,
@@ -341,3 +343,43 @@ def write_edge_list_lines(g: Graph, path: str) -> None:
             for v in neighbors[offsets[u] : offsets[u + 1]]:
                 if u < v:
                     fh.write(f"{u} {v}\n")
+
+
+def is_connected(g: Graph) -> bool:
+    """Connectivity by a BFS from node 0 alone (the library's former test)."""
+    if g.n == 0:
+        return False
+    if g.n == 1:
+        return True
+    seen = np.zeros(g.n, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0], dtype=np.int64)
+    reached = 1
+    while frontier.size:
+        nbrs = _frontier_neighbors(g, frontier)
+        fresh = _sorted_unique(nbrs[~seen[nbrs]])
+        seen[fresh] = True
+        reached += fresh.size
+        frontier = fresh
+    return reached == g.n
+
+
+def bipartite_coloring(g: Graph) -> np.ndarray | None:
+    """BFS 2-coloring. Returns the color array (0/1 per node) or None if an
+    odd cycle exists. Unreached nodes are colored 0."""
+    color = np.full(g.n, -1, dtype=np.int8)
+    for root in range(g.n):
+        if color[root] >= 0:
+            continue
+        color[root] = 0
+        queue = [root]
+        while queue:
+            u = queue.pop()
+            cu = color[u]
+            for v in g.neighbors_of(u):
+                if color[v] < 0:
+                    color[v] = 1 - cu
+                    queue.append(int(v))
+                elif color[v] == cu:
+                    return None
+    return color.astype(np.int64)

@@ -144,22 +144,6 @@ class TestSyntheticExperiment:
                 "pa", 3, seed=0, walk_seeds=1, budget_fractions=(1.0,), t_star=2
             )
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        kwargs = dict(
-            model="chung-lu",
-            n=300,
-            seed=3,
-            params={"deg_dist": "uniform", "low": 5.0, "high": 12.0},
-            walk_seeds=4,
-            thin=3,
-        )
-        monkeypatch.delenv("EPITHRESH_THREADS", raising=False)
-        sequential = run_synthetic_experiment(**kwargs)
-        monkeypatch.setenv("EPITHRESH_THREADS", "4")
-        threaded = run_synthetic_experiment(**kwargs)
-        assert sequential.records == threaded.records
-        assert repr(sequential.curve) == repr(threaded.curve)
-
 
 class TestFiftyThousandNodeInstances:
     """Full-scale generator targets; these still run in a few seconds."""

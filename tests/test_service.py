@@ -147,3 +147,31 @@ class TestRemoteOracle:
                 assert remote.distinct_nodes_seen == 0
                 with pytest.raises(OracleProtocolError, match="out of range"):
                     error_curve(lambda: remote, 2.0, 2.0, [1], [3], t_star=0)
+
+
+class TestLineCap:
+    """Neither side reads more than a bounded line; one connection at a time."""
+
+    def test_overlong_request_gets_error_and_close(self):
+        g = star_graph(6)
+        with serve_oracle(g) as server:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                try:
+                    sock.sendall(b"N" * (1 << 20))  # 1 MiB, no newline
+                except OSError:
+                    pass  # the server may close before taking it all
+                reply = b""
+                try:
+                    while chunk := sock.recv(4096):
+                        reply += chunk
+                except ConnectionResetError:
+                    pass
+            assert reply == b"ERR line-too-long\n"
+            with remote_oracle(server.address) as remote:  # still serving
+                assert remote.node_count() == 6
+
+    def test_overlong_reply_raises(self):
+        with _ScriptedServer(degree="1" * 1024, neighbor="1") as server:
+            with remote_oracle(server.server_address, timeout=5) as remote:
+                with pytest.raises(OracleProtocolError, match="exceeds 128 bytes"):
+                    remote.degree(0)

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epithresh import spectral
 from epithresh.generators import chung_lu_sample_fast, power_law_expected_degrees
-from epithresh.graph import build_graph, degree_stats, largest_component
+from epithresh.graph import _components, build_graph, degree_stats, largest_component
 from epithresh.spectral import (
     BipartiteGraphError,
     DisconnectedGraphError,
     adjacency_matvec,
+    bipartite_coloring,
     spectral_gap,
     spectral_radius,
     stationary_distribution,
@@ -17,6 +20,7 @@ from epithresh.spectral import (
 )
 
 from conftest import cycle_graph, path_graph, random_graph
+import oracles
 from oracles import dense_adjacency, exact_walk_distribution, jacobi_spectral_radius
 
 
@@ -233,3 +237,48 @@ class TestMixingTime:
         assert tv_mixing_time(k4, start=0) == tv_mixing_time(
             k4, start=0, threshold=1 / 16
         )
+
+
+@st.composite
+def parity_graphs(draw):
+    """Graphs on 0..30 nodes from even-odd (bipartite) edges plus optional odd
+    cycles; edges across a drawn cut are dropped, so there are often several
+    components, and nodes no edge touches stay isolated."""
+    n = draw(st.integers(0, 30))
+    edges = []
+    if n >= 2:
+        evens, odds = st.integers(0, (n - 1) // 2), st.integers(0, n // 2 - 1)
+        pairs = draw(st.lists(st.tuples(evens, odds), max_size=25))
+        edges += [(2 * a, 2 * b + 1) for a, b in pairs]
+    if n >= 3:
+        cycles = st.lists(st.integers(0, n - 1), min_size=3, max_size=7, unique=True)
+        for cycle in draw(st.lists(cycles, max_size=2)):
+            cycle = cycle[: len(cycle) - 1 + len(cycle) % 2]  # odd length
+            edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    cut = draw(st.integers(0, n))
+    return build_graph([(u, v) for u, v in edges if (u < cut) == (v < cut)], n)
+
+
+class TestComponentTraversal:
+    """The one BFS against the separate connectivity BFS and the per-node
+    stack 2-coloring it replaced (tests/oracles.py)."""
+
+    @staticmethod
+    def check(g):
+        root, _ = _components(g)
+        assert (g.n > 0 and not root.any()) == oracles.is_connected(g)
+        got, want = bipartite_coloring(g), oracles.bipartite_coloring(g)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @given(g=parity_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_former_traversals(self, g):
+        self.check(g)
+
+    def test_long_path(self):
+        g = path_graph(2000)  # bipartite, connected, 2,000 BFS levels
+        self.check(g)
+        assert bipartite_coloring(g).tolist() == [v % 2 for v in range(2000)]
