@@ -188,10 +188,10 @@ def _cmd_walk(args) -> int:
         raise ValueError("provide exactly one of --in or --remote")
     start = args.start
     if args.remote is not None:
-        oracle = remote_oracle(_parse_addr(args.remote))
-        plan_note = None
         if args.r is None:
             raise ValueError("--r is required with --remote (no graph to plan from)")
+        oracle = remote_oracle(_parse_addr(args.remote))
+        plan_note = None
         r, t_star = args.r, args.tstar if args.tstar is not None else 0
     else:
         g = read_edge_list(args.infile)
@@ -220,8 +220,12 @@ def _cmd_walk(args) -> int:
             t_star = args.tstar if args.tstar is not None else math.ceil(
                 10.0 * math.log(max(2, oracle.node_count()))
             )
-    cfg = WalkConfig(t_star=t_star, r=r, thin=args.thin, seed=args.seed, start=start)
-    report = random_walk_estimate(oracle, cfg)
+    try:
+        cfg = WalkConfig(t_star=t_star, r=r, thin=args.thin, seed=args.seed, start=start)
+        report = random_walk_estimate(oracle, cfg)
+    finally:
+        if args.remote is not None:
+            oracle.close()
     payload = {
         "t2": report.estimate,
         "r": report.r,

@@ -143,16 +143,6 @@ def chunglu_condition(ed: ExpectedDegrees) -> ConditionCheck:
     return ConditionCheck(holds=lhs > rhs, margin=margin, lhs=lhs, rhs=rhs)
 
 
-def log_squared_dominance(ed: ExpectedDegrees) -> float:
-    """Finite-n diagnostic (mu2/mu1) / ln(n)^2 for the moment-concentration
-    regime, which asks the expected threshold to dominate log-squared growth.
-    Reported as a plain ratio; no cutoff is asserted."""
-    log_n = math.log(ed.n)
-    if log_n == 0.0:
-        return math.inf
-    return expected_moment_ratio(ed) / (log_n * log_n)
-
-
 def sample_size(
     stats: DegreeStats,
     gap: SpectralGap | float,

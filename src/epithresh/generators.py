@@ -33,9 +33,9 @@ __all__ = [
 
 NAIVE_SAMPLER_NODE_GUARD = 20_000
 
-# Row block for the vectorized reference sampler; bounds peak memory at
-# roughly block * n doubles.
-_NAIVE_BLOCK = 256
+# Candidate pairs per block of the reference sampler; peak memory is a few
+# arrays of this many 8-byte values.
+_NAIVE_BLOCK_PAIRS = 2**18
 
 
 @dataclass(frozen=True)
@@ -183,17 +183,24 @@ def chung_lu_sample_naive(
     _warn_if_infeasible(ed, "chung_lu_sample_naive")
     rng = np.random.default_rng(seed)
     delta = ed.delta
+    # Row i holds the pairs (i, j > i). A block of whole rows draws its
+    # uniforms in one call, in the row-major order one call per row would.
+    lens = np.arange(n - 1, 0, -1, dtype=np.int64)
+    ends = np.cumsum(lens)
     edges_u: list[np.ndarray] = []
     edges_v: list[np.ndarray] = []
-    for row_start in range(0, n - 1, _NAIVE_BLOCK):
-        row_end = min(row_start + _NAIVE_BLOCK, n - 1)
-        for i in range(row_start, row_end):
-            tail = delta[i + 1 :]
-            u = rng.random(n - 1 - i)
-            hit = np.flatnonzero(u * ed.S < delta[i] * tail)
-            if hit.size:
-                edges_u.append(np.full(hit.size, i, dtype=np.int64))
-                edges_v.append(hit.astype(np.int64) + i + 1)
+    row = 0
+    while row < n - 1:
+        first = ends[row] - lens[row]
+        end = max(row + 1, int(np.searchsorted(ends, first + _NAIVE_BLOCK_PAIRS, "right")))
+        block_lens = lens[row:end]
+        row_starts = ends[row:end] - block_lens - first  # within the block
+        i = np.repeat(np.arange(row, end, dtype=np.int64), block_lens)
+        j = np.arange(i.size) - np.repeat(row_starts, block_lens) + i + 1
+        hit = np.flatnonzero(rng.random(j.size) * ed.S < delta[i] * delta[j])
+        edges_u.append(i[hit])
+        edges_v.append(j[hit])
+        row = end
     if edges_u:
         pairs = np.column_stack((np.concatenate(edges_u), np.concatenate(edges_v)))
     else:

@@ -300,20 +300,15 @@ def run_synthetic_experiment(
     burn_in = t_star if t_star is not None else math.ceil(10.0 * math.log(component.n))
     budgets = sorted({max(1, math.ceil(f * component.n)) for f in budget_fractions})
 
-    # one error_curve call per seed frees each walk's oracle before the next
-    points = [
-        point
-        for walk_seed in seeds
-        for point in error_curve(
-            make_oracle=lambda: local_oracle(component),
-            t1_reference=comp_t1,
-            lambda_reference=comp_lambda,
-            seeds=[walk_seed],
-            budgets=budgets,
-            t_star=burn_in,
-            thin=thin,
-        )
-    ]
+    points = error_curve(
+        make_oracle=lambda: local_oracle(component),
+        t1_reference=comp_t1,
+        lambda_reference=comp_lambda,
+        seeds=list(seeds),
+        budgets=budgets,
+        t_star=burn_in,
+        thin=thin,
+    )
 
     records: list[ExperimentRecord] = []
     final_budget = budgets[-1]

@@ -362,9 +362,10 @@ def error_curve(
     """Walk-estimate error versus distinct-nodes-seen budget, one walk per seed.
 
     ``make_oracle`` is called once per seed so each walk carries fresh
-    counters. Each walk runs with the given burn-in and thinning, recording
-    its running degree average whenever the number of distinct nodes seen
-    first reaches a budget; relative errors are taken against the supplied
+    counters; the previous seed's oracle is released first, so only one is
+    alive at a time. Each walk runs with the given burn-in and thinning,
+    recording its running degree average whenever the number of distinct
+    nodes seen first reaches a budget; relative errors are taken against the supplied
     references. If the step cap is hit before the last budget, the remaining
     budgets are reported with the walk's final state.
     """
@@ -414,4 +415,6 @@ def error_curve(
                     points.append(snapshot(next_budget))
                     points.extend(snapshot(b) for b in pending)
                     next_budget = None
+        # free this seed's oracle before make_oracle() builds the next one
+        del oracle, walk
     return points

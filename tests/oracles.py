@@ -6,9 +6,11 @@ quantity: a round-robin Jacobi eigensolver for spectral values, dict-of-sets
 degree recounts for graph statistics, a whole-file line-by-line edge-list
 parser and per-edge writer, dense transition-matrix iteration for walk
 distributions, the per-step walk and error-curve loops over the oracle's
-own counted queries, a Hill estimator for tail exponents, and the
+own counted queries, a Hill estimator for tail exponents, the
 separate connectivity BFS and per-node stack 2-coloring that the one
-component traversal replaced.
+component traversal replaced, the per-row reference sampler that now
+draws a block at a time, and the SIR step that recounted the infected
+nodes' neighbors every step.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ import random
 
 import numpy as np
 
-from epithresh.graph import EdgeListParseError, Graph, _frontier_neighbors, _sorted_unique
+from epithresh.graph import (
+    EdgeListParseError,
+    Graph,
+    _frontier_neighbors,
+    _sorted_unique,
+    build_graph,
+)
+from epithresh.sir import SirParams, SirTrajectory
 from epithresh.walker import (
     CurvePoint,
     GraphOracle,
@@ -383,3 +392,87 @@ def bipartite_coloring(g: Graph) -> np.ndarray | None:
                 elif color[v] == cu:
                     return None
     return color.astype(np.int64)
+
+
+def per_row_chung_lu_sample(ed, seed: int) -> Graph:
+    """The reference Chung-Lu sampler's former loop: one rng.random call per
+    row, for the pairs (i, j > i), compared as u * S < delta_i * delta_j."""
+    n = ed.n
+    rng = np.random.default_rng(seed)
+    delta = ed.delta
+    edges_u: list[np.ndarray] = []
+    edges_v: list[np.ndarray] = []
+    for row_start in range(0, n - 1, 256):
+        row_end = min(row_start + 256, n - 1)
+        for i in range(row_start, row_end):
+            tail = delta[i + 1 :]
+            u = rng.random(n - 1 - i)
+            hit = np.flatnonzero(u * ed.S < delta[i] * tail)
+            if hit.size:
+                edges_u.append(np.full(hit.size, i, dtype=np.int64))
+                edges_v.append(hit.astype(np.int64) + i + 1)
+    if edges_u:
+        pairs = np.column_stack((np.concatenate(edges_u), np.concatenate(edges_v)))
+    else:
+        pairs = np.empty((0, 2), dtype=np.int64)
+    return build_graph(pairs, n)
+
+
+# The SIR step that recounted every infected node's neighbors on every step;
+# sir_simulate now carries the counts forward and must match it exactly.
+
+_SUSCEPTIBLE, _INFECTED, _RECOVERED = 0, 1, 2
+
+
+def _infected_neighbor_counts(g: Graph, infected: np.ndarray) -> np.ndarray:
+    return np.bincount(_frontier_neighbors(g, infected), minlength=g.n)
+
+
+def recount_sir_simulate(g: Graph, p: SirParams) -> SirTrajectory:
+    """Run the synchronous SIR dynamics until extinction or the step cap.
+
+    Deterministic for a fixed seed: each step draws infection uniforms for
+    the exposed susceptibles (ascending node order) and then recovery
+    uniforms for the infected.
+    """
+    for v in p.initial_infected:
+        if not 0 <= v < g.n:
+            raise ValueError(f"initial infected node {v} out of range [0, {g.n})")
+    max_steps = p.max_steps if p.max_steps is not None else 10 * g.n
+    rng = np.random.default_rng(p.seed)
+
+    state = np.zeros(g.n, dtype=np.int8)
+    state[list(p.initial_infected)] = _INFECTED
+    s_counts = [int((state == _SUSCEPTIBLE).sum())]
+    i_counts = [int((state == _INFECTED).sum())]
+    r_counts = [int((state == _RECOVERED).sum())]
+
+    steps = 0
+    while steps < max_steps:
+        infected = np.flatnonzero(state == _INFECTED)
+        if infected.size == 0:
+            break
+        counts = _infected_neighbor_counts(g, infected)
+        exposed = np.flatnonzero((state == _SUSCEPTIBLE) & (counts > 0))
+        if p.beta > 0.0 and exposed.size:
+            p_inf = 1.0 - (1.0 - p.beta) ** counts[exposed]
+            newly_infected = exposed[rng.random(exposed.size) < p_inf]
+        else:
+            newly_infected = exposed[:0]
+        newly_recovered = infected[rng.random(infected.size) < p.mu]
+
+        state[newly_infected] = _INFECTED
+        state[newly_recovered] = _RECOVERED
+        steps += 1
+        s_counts.append(int((state == _SUSCEPTIBLE).sum()))
+        i_counts.append(int((state == _INFECTED).sum()))
+        r_counts.append(int((state == _RECOVERED).sum()))
+
+    final_size = int((state != _SUSCEPTIBLE).sum())
+    return SirTrajectory(
+        s=np.asarray(s_counts, dtype=np.int64),
+        i=np.asarray(i_counts, dtype=np.int64),
+        r=np.asarray(r_counts, dtype=np.int64),
+        final_size=final_size,
+        steps=steps,
+    )

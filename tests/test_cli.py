@@ -106,9 +106,17 @@ class TestWalkCommand:
         assert run_cli("walk", "--in", edge_file, "--remote", "h:1", "--r", "5") == 2
         assert run_cli("walk", "--r", "5") == 2
 
-    def test_walk_remote_matches_local(self, edge_file, capsys):
-        from epithresh.service import serve_oracle
+    def test_walk_remote_matches_local(self, edge_file, capsys, monkeypatch):
+        from epithresh import cli
+        from epithresh.service import remote_oracle, serve_oracle
 
+        opened = []
+
+        def recording_remote_oracle(address):
+            opened.append(remote_oracle(address))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "remote_oracle", recording_remote_oracle)
         g = read_edge_list(edge_file)
         with serve_oracle(g) as server:
             host, port = server.address
@@ -117,6 +125,8 @@ class TestWalkCommand:
                 "--r", "100", "--tstar", "7", "--seed", "5",
             ) == 0
             remote_payload = json.loads(capsys.readouterr().out)
+        # the command closes its connection instead of leaving it to the GC
+        assert len(opened) == 1 and opened[0]._sock.fileno() == -1
         assert run_cli(
             "walk", "--in", edge_file, "--r", "100", "--tstar", "7", "--seed", "5",
         ) == 0

@@ -10,7 +10,6 @@ from epithresh.estimators import (
     chunglu_condition,
     expected_moment_ratio,
     hoeffding_m1_bound,
-    log_squared_dominance,
     relative_error,
     sample_size,
     t1_estimate,
@@ -171,12 +170,6 @@ class TestChungLuCondition:
         check = chunglu_condition(ed_of(*([d] * n)))
         assert check.lhs == pytest.approx(check.rhs, rel=1e-12)
         assert not check.holds
-
-    def test_log_squared_diagnostic(self):
-        n = 100
-        ed = expected_degrees(np.full(n, 7.0))
-        assert log_squared_dominance(ed) == pytest.approx(7.0 / math.log(n) ** 2)
-        assert log_squared_dominance(ed_of(3.0)) == math.inf
 
 
 class TestSampleSize:

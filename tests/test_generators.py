@@ -1,7 +1,13 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from epithresh import generators
 from epithresh.generators import (
     chung_lu_sample_fast,
     chung_lu_sample_naive,
@@ -12,7 +18,7 @@ from epithresh.generators import (
     uniform_expected_degrees,
 )
 
-from oracles import ccdf_slope, hill_tail_exponent
+from oracles import ccdf_slope, hill_tail_exponent, per_row_chung_lu_sample
 
 
 def ed_of(*values):
@@ -104,6 +110,25 @@ class TestChungLuNaive:
             chung_lu_sample_naive(ed_of(3, 1), seed=0)
         with pytest.warns(RuntimeWarning, match="1 pair probabilities clamped"):
             chung_lu_sample_fast(ed_of(5, 4, 2, 1), seed=0)
+
+    @given(
+        delta=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=60),
+        seed=st.integers(0, 2**32),
+        block=st.integers(1, 2000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_draw_like_one_call_per_row(self, delta, seed, block):
+        # blocks from one pair up to several rows, and one block for all rows
+        ed = expected_degrees(np.asarray(delta))
+        with mock.patch.object(generators, "_NAIVE_BLOCK_PAIRS", block), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # infeasible draws warn
+            assert chung_lu_sample_naive(ed, seed).identical(per_row_chung_lu_sample(ed, seed))
+
+    def test_default_blocks_draw_like_one_call_per_row(self):
+        # n = 800 spans two default blocks; criterion 11's n = 200 fits in one
+        for n, seed in ((200, 101), (800, 5)):
+            ed = uniform_expected_degrees(n, 1.0, 20.0, seed=seed)
+            assert chung_lu_sample_naive(ed, seed).identical(per_row_chung_lu_sample(ed, seed))
 
 
 class TestChungLuFast:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epithresh.generators import chung_lu_sample_fast, uniform_expected_degrees
-from epithresh.graph import largest_component
+from epithresh.graph import build_graph, largest_component
 from epithresh.sir import SirParams, sir_simulate, threshold_sweep
 from epithresh.spectral import spectral_radius
 
 from conftest import path_graph, random_connected_graph
+from oracles import recount_sir_simulate
 
 
 class TestSirSimulate:
@@ -70,6 +73,51 @@ class TestSirSimulate:
             SirParams(beta=0.5, mu=0.0, initial_infected=(0,))
         with pytest.raises(ValueError):
             SirParams(beta=0.5, mu=0.5, initial_infected=())
+
+
+@st.composite
+def sir_cases(draw):
+    """A graph on 1..60 nodes (nodes no drawn edge touches stay isolated),
+    several possibly repeated initial infected, and parameters that include
+    beta 0 and 1, mu 1, and step caps of 0 and a few steps."""
+    n = draw(st.integers(1, 60))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=180))
+    g = build_graph(sorted({(min(e), max(e)) for e in edges}), n)
+    params = SirParams(
+        beta=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        mu=draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True)),
+        initial_infected=tuple(draw(st.lists(node, min_size=1, max_size=6))),
+        max_steps=draw(st.none() | st.integers(0, 4)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return g, params
+
+
+class TestIncrementalCounts:
+    """The step that carries the infected-neighbor counts forward against the
+    step that recounted them (tests/oracles.py): same draws, same output."""
+
+    @given(case=sir_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_recounting_step(self, case):
+        g, params = case
+        got, want = sir_simulate(g, params), recount_sir_simulate(g, params)
+        for name in ("s", "i", "r"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert type(got.final_size) is int and got.final_size == want.final_size
+        assert got.steps == want.steps
+
+    def test_matches_recounting_step_on_a_chung_lu_graph(self):
+        ed = uniform_expected_degrees(3000, 5.0, 15.0, seed=2)
+        g = chung_lu_sample_fast(ed, 3)
+        for seed, beta in enumerate((0.02, 0.05, 0.1, 0.3)):
+            params = SirParams(beta=beta, mu=0.2, initial_infected=(seed, 7, 7), seed=seed)
+            got, want = sir_simulate(g, params), recount_sir_simulate(g, params)
+            for name in ("s", "i", "r"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.final_size == want.final_size and got.steps == want.steps
 
 
 class TestThresholdSweep:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -193,6 +194,28 @@ class TestErrorCurve:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             error_curve(lambda: None, 1.0, 1.0, [], [1], t_star=0)
+
+    @pytest.mark.parametrize("max_steps", [None, 25])
+    @pytest.mark.parametrize(
+        "new_oracle", [local_oracle, lambda g: _CheckedOracle(g)], ids=["local", "checked"]
+    )
+    def test_each_oracle_is_freed_before_the_next(self, new_oracle, max_steps):
+        # the bulk-charged LocalOracle path and a subclass's per-query path,
+        # with every budget reached and with the step cap cutting the walk
+        g = random_connected_graph(80, seed=4, extra_edges=60)
+        made = []
+
+        def make_oracle():
+            assert all(ref() is None for ref in made), "previous oracle still alive"
+            oracle = new_oracle(g)
+            made.append(weakref.ref(oracle))
+            return oracle
+
+        points = error_curve(
+            make_oracle, 1.0, 1.0, seeds=[1, 2, 3], budgets=[10, 40, 80],
+            t_star=3, thin=2, max_steps=max_steps,
+        )
+        assert len(made) == 3 and len(points) == 9
 
 
 class _CheckedOracle(LocalOracle):
