@@ -251,12 +251,20 @@ def _components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """One level-synchronous BFS: ``root[v]``, the smallest node of v's
     component, and ``parity[v]`` (int8), the parity of v's BFS level from it.
 
-    Degree-0 nodes are labeled in one step. Each next root is found by a
+    Degree-0 nodes and isolated edges (two degree-1 nodes joined to each
+    other) are labeled in one step each. Each next root is found by a
     vectorized search in windows that double from the last root, so Python
-    loops run per component with an edge and per BFS level, never per node.
+    loops run per larger component and per BFS level, never per node.
     """
-    root = np.where(g.degrees > 0, -1, np.arange(g.n, dtype=np.int64))
+    deg = g.degrees
+    root = np.where(deg > 0, -1, np.arange(g.n, dtype=np.int64))
     parity = np.zeros(g.n, dtype=np.int8)
+    ends = np.flatnonzero(deg == 1)
+    mates = g.neighbors[g.offsets[ends]]
+    paired = deg[mates] == 1
+    ends, mates = ends[paired], mates[paired]
+    root[ends] = np.minimum(ends, mates)
+    parity[ends] = ends > mates
     start, window = 0, _ROOT_WINDOW
     while start < g.n:
         hits = np.flatnonzero(root[start : start + window] < 0)

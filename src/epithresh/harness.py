@@ -298,10 +298,13 @@ def run_synthetic_experiment(
     comp_t1 = t1_estimate(component).t1
     comp_lambda = spectral_radius(component).value
     burn_in = t_star if t_star is not None else math.ceil(10.0 * math.log(component.n))
-    budgets = sorted({max(1, math.ceil(f * component.n)) for f in budget_fractions})
+    frac_of: dict[int, float] = {}
+    for f in sorted(budget_fractions):  # the smallest fraction names a shared budget
+        frac_of.setdefault(max(1, math.ceil(f * component.n)), f)
+    budgets = sorted(frac_of)
 
     points = error_curve(
-        make_oracle=lambda: local_oracle(component),
+        local_oracle(component),
         t1_reference=comp_t1,
         lambda_reference=comp_lambda,
         seeds=list(seeds),
@@ -333,7 +336,6 @@ def run_synthetic_experiment(
             )
         )
 
-    frac_of = {b: f for f, b in zip(sorted(budget_fractions), budgets)}
     curve: list[CurveSummary] = []
     for budget in budgets:
         at_budget = [p for p in points if p.budget == budget]
@@ -341,7 +343,7 @@ def run_synthetic_experiment(
         curve.append(
             CurveSummary(
                 budget=budget,
-                budget_fraction=frac_of.get(budget, budget / component.n),
+                budget_fraction=frac_of[budget],
                 mean_nodes_seen=float(np.mean([p.nodes_seen for p in at_budget])),
                 mean_eps_t1=float(np.mean([p.eps_t1 for p in valid]))
                 if valid

@@ -136,8 +136,6 @@ class RemoteOracle(GraphOracle):
     def __init__(self, address: tuple[str, int], timeout: float = 10.0):
         self._sock = socket.create_connection(address, timeout=timeout)
         self._file = self._sock.makefile("rwb")
-        self._queries = 0
-        self._seen: set[int] = set()
         self._n = int(self._exchange("N"))
 
     def _exchange(self, request: str) -> str:
@@ -158,8 +156,6 @@ class RemoteOracle(GraphOracle):
 
     def degree(self, v: int) -> int:
         reply = self._exchange(f"DEG {v}")
-        self._queries += 1
-        self._seen.add(v)
         try:
             d = int(reply)
         except ValueError:
@@ -170,28 +166,13 @@ class RemoteOracle(GraphOracle):
 
     def neighbor(self, v: int, k: int) -> int:
         reply = self._exchange(f"NBR {v} {k}")
-        self._queries += 1
         try:
             u = int(reply)
         except ValueError:
             raise OracleProtocolError(f"non-integer neighbor reply {reply!r}") from None
         if not 0 <= u < self._n:
             raise OracleProtocolError(f"neighbor reply {reply!r} out of range [0, {self._n})")
-        self._seen.add(v)
-        self._seen.add(u)
         return u
-
-    @property
-    def total_queries(self) -> int:
-        return self._queries
-
-    @property
-    def distinct_nodes_seen(self) -> int:
-        return len(self._seen)
-
-    def reset_counters(self) -> None:
-        self._queries = 0
-        self._seen.clear()
 
     def close(self) -> None:
         try:

@@ -43,10 +43,8 @@ THREADS_ENV_VAR = "EPITHRESH_THREADS"
 
 
 def worker_count() -> int:
-    """Replication worker count from the environment (default 1).
-
-    Used by the SIR sweep and the experiment harness alike.
-    """
+    """Replication worker count for the SIR sweep, from the environment
+    (default 1)."""
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
         return max(1, int(raw))

@@ -20,17 +20,15 @@ So a walk is a function of (oracle answers, seed, start) alone. A reported
 degree of 0 raises ZeroDegreeNodeError, a negative one ValueError.
 
 One stepping loop, ``_Walk.advance``, serves both ``random_walk_estimate``
-and ``error_curve``, and the walk owns its step, query and distinct-node
-tallies. A ``LocalOracle`` is stepped through unchecked list accessors and
-its counters are charged in bulk when the walk ends (also when it raises):
-``total_queries`` gains two per step and the walk's visited nodes join its
-seen set, exactly as the per-query calls would have left them. Such a walk
-keeps its distinct nodes in an n-byte mask and charges them with one O(n)
-numpy pass, small next to the oracle's own lists of n + 2m ints. Any other
-oracle answers each step through its own counted ``degree`` and
-``neighbor`` calls, one of each per step, in that order, and the walk keeps
-its distinct nodes in a dict that grows with the walk alone, whatever node
-count or ids the oracle reports.
+and ``error_curve``, and the walk alone keeps the query accounting: its
+report's ``total_steps``, ``total_queries`` (two per step) and
+``distinct_nodes_seen`` are the one tally, and oracles keep no counters. A
+``LocalOracle`` is stepped through unchecked list accessors, and such a walk
+keeps its distinct nodes in an n-byte mask, small next to the oracle's own
+lists of n + 2m ints. Any other oracle answers each step through its own
+``degree`` and ``neighbor`` calls, one of each per step, in that order, and
+the walk keeps its distinct nodes in a dict that grows with the walk alone,
+whatever node count or ids the oracle reports.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ from abc import ABC, abstractmethod
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graph import Graph
 
@@ -69,10 +65,7 @@ class ZeroDegreeNodeError(RuntimeError):
 class GraphOracle(ABC):
     """Query interface to a graph: degrees, indexed neighbors, node count.
 
-    Implementations keep monotone counters: ``total_queries`` counts every
-    degree/neighbor call, and ``distinct_nodes_seen`` counts node ids that
-    appeared in any query or answer. ``neighbor(v, k)`` must be stable
-    across calls for the same (v, k).
+    ``neighbor(v, k)`` must be stable across calls for the same (v, k).
     """
 
     @abstractmethod
@@ -83,17 +76,6 @@ class GraphOracle(ABC):
 
     @abstractmethod
     def neighbor(self, v: int, k: int) -> int: ...
-
-    @property
-    @abstractmethod
-    def total_queries(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def distinct_nodes_seen(self) -> int: ...
-
-    @abstractmethod
-    def reset_counters(self) -> None: ...
 
 
 class LocalOracle(GraphOracle):
@@ -107,23 +89,13 @@ class LocalOracle(GraphOracle):
         self._deg = g.degrees.tolist()
         self._off = g.offsets.tolist()
         self._nbr = g.neighbors.tolist()
-        self._queries = 0
-        self._seen = bytearray(g.n)
-        self._seen_count = 0
 
     def node_count(self) -> int:
         return self._n
 
-    def _mark(self, v: int) -> None:
-        if not self._seen[v]:
-            self._seen[v] = 1
-            self._seen_count += 1
-
     def degree(self, v: int) -> int:
         if not 0 <= v < self._n:
             raise IndexError(f"node {v} out of range [0, {self._n})")
-        self._queries += 1
-        self._mark(v)
         return self._deg[v]
 
     def neighbor(self, v: int, k: int) -> int:
@@ -131,17 +103,12 @@ class LocalOracle(GraphOracle):
             raise IndexError(f"node {v} out of range [0, {self._n})")
         if not 0 <= k < self._deg[v]:
             raise IndexError(f"neighbor index {k} out of range [0, {self._deg[v]}) at node {v}")
-        self._queries += 1
-        u = self._nbr[self._off[v] + k]
-        self._mark(v)
-        self._mark(u)
-        return u
+        return self._nbr[self._off[v] + k]
 
     def _walk_accessors(self) -> tuple[Callable[[int], int], Callable[[int, int], int]]:
-        """Unchecked, uncounted (degree, neighbor) over the plain lists.
+        """Unchecked (degree, neighbor) over the plain lists.
 
-        Only for a walk that starts in range, draws k below the degree, and
-        settles its queries with ``_charge`` when it ends.
+        Only for a walk that starts in range and draws k below the degree.
         """
         off, nbr = self._off, self._nbr
 
@@ -150,47 +117,22 @@ class LocalOracle(GraphOracle):
 
         return self._deg.__getitem__, neighbor
 
-    def _charge(self, queries: int, visited: bytearray) -> None:
-        """Count a finished walk's queries and its visited nodes (a 0/1 mask)."""
-        self._queries += queries
-        seen = np.frombuffer(self._seen, dtype=np.uint8)
-        np.bitwise_or(seen, np.frombuffer(visited, dtype=np.uint8), out=seen)
-        self._seen_count = int(np.count_nonzero(seen))
-
-    @property
-    def total_queries(self) -> int:
-        return self._queries
-
-    @property
-    def distinct_nodes_seen(self) -> int:
-        return self._seen_count
-
-    def reset_counters(self) -> None:
-        self._queries = 0
-        self._seen = bytearray(self._n)
-        self._seen_count = 0
-
 
 def local_oracle(g: Graph) -> LocalOracle:
-    """Wrap a Graph as an in-memory oracle with fresh counters."""
+    """Wrap a Graph as an in-memory oracle."""
     return LocalOracle(g)
 
 
 class _Walk:
-    """One walk's position and tallies, stepped only by ``advance``.
-
-    Use as a context manager: on exit, normal or not, a LocalOracle is
-    charged for the walk's queries and visited nodes.
-    """
+    """One walk's position, step count and distinct nodes, stepped only by
+    ``advance``."""
 
     def __init__(self, oracle: GraphOracle, seed: int, start: int, path: list[int] | None):
-        self._charge = None
         if type(oracle) is LocalOracle:
             n = oracle.node_count()
             if not 0 <= start < n:
                 raise IndexError(f"node {start} out of range [0, {n})")
             self._degree, self._neighbor = oracle._walk_accessors()
-            self._charge = oracle._charge
             self.visited: bytearray | defaultdict[int, int] = bytearray(n)
         else:
             self._degree, self._neighbor = oracle.degree, oracle.neighbor
@@ -201,16 +143,8 @@ class _Walk:
         self._getrandbits = random.Random(seed).getrandbits
         self.x = start
         self.steps = 0
-        self.queries = 0
         self.visited[start] = 1
         self.count = 1
-
-    def __enter__(self) -> "_Walk":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._charge is not None:
-            self._charge(self.queries, self.visited)
 
     def advance(self, k: int, target: int | None = None) -> int:
         """Take k >= 1 steps, or stop after a step that reaches a new node and
@@ -220,30 +154,24 @@ class _Walk:
         visited, x, count = self.visited, self.x, self.count
         if target is None:
             target = count + k + 1  # k steps cannot get there
-        d = taken = 0
-        try:
-            for taken in range(1, k + 1):
-                d = degree(x)
-                if d <= 0:
-                    taken -= 1
-                    self.queries += 1  # the degree query that found the dead end
-                    if d == 0:
-                        raise ZeroDegreeNodeError(x)
-                    raise ValueError(f"oracle reported degree {d} for node {x}")
-                b = d.bit_length()  # randrange(d), see the draw contract
+        for taken in range(1, k + 1):
+            d = degree(x)
+            if d <= 0:
+                if d == 0:
+                    raise ZeroDegreeNodeError(x)
+                raise ValueError(f"oracle reported degree {d} for node {x}")
+            b = d.bit_length()  # randrange(d), see the draw contract
+            r = getrandbits(b)
+            while r >= d:
                 r = getrandbits(b)
-                while r >= d:
-                    r = getrandbits(b)
-                x = neighbor(x, r)
-                if not visited[x]:
-                    visited[x] = 1
-                    count += 1
-                    if count >= target:
-                        break
-        finally:
-            self.x, self.count = x, count
-            self.steps += taken
-            self.queries += 2 * taken
+            x = neighbor(x, r)
+            if not visited[x]:
+                visited[x] = 1
+                count += 1
+                if count >= target:
+                    break
+        self.x, self.count = x, count
+        self.steps += taken
         return d
 
 
@@ -316,17 +244,17 @@ def random_walk_estimate(
     (start plus one node per step).
     """
     path: list[int] | None = [] if trace else None
-    with _Walk(oracle, cfg.seed, cfg.start, path) as walk:
-        # the samples are the degrees left at steps t_star, t_star + thin, ...
-        acc = walk.advance(cfg.t_star + 1)
-        for _ in range(cfg.r - 1):
-            acc += walk.advance(cfg.thin)
+    walk = _Walk(oracle, cfg.seed, cfg.start, path)
+    # the samples are the degrees left at steps t_star, t_star + thin, ...
+    acc = walk.advance(cfg.t_star + 1)
+    for _ in range(cfg.r - 1):
+        acc += walk.advance(cfg.thin)
 
     return WalkReport(
         estimate=acc / cfg.r,
         r=cfg.r,
         total_steps=walk.steps,
-        total_queries=walk.queries,
+        total_queries=2 * walk.steps,
         distinct_nodes_seen=walk.count,
         start=cfg.start,
         seed=cfg.seed,
@@ -349,7 +277,7 @@ class CurvePoint:
 
 
 def error_curve(
-    make_oracle,
+    oracle: GraphOracle,
     t1_reference: float,
     lambda_reference: float,
     seeds: list[int],
@@ -361,60 +289,56 @@ def error_curve(
 ) -> list[CurvePoint]:
     """Walk-estimate error versus distinct-nodes-seen budget, one walk per seed.
 
-    ``make_oracle`` is called once per seed so each walk carries fresh
-    counters; the previous seed's oracle is released first, so only one is
-    alive at a time. Each walk runs with the given burn-in and thinning,
-    recording its running degree average whenever the number of distinct
-    nodes seen first reaches a budget; relative errors are taken against the supplied
-    references. If the step cap is hit before the last budget, the remaining
-    budgets are reported with the walk's final state.
+    Every seed's walk runs on the same oracle, from ``start``, with the given
+    burn-in and thinning, recording its running degree average whenever the
+    number of distinct nodes it has seen first reaches a budget; relative
+    errors are taken against the supplied references. A walk stops after
+    ``max_steps`` steps (default 1000 * node count); if that cap is hit
+    before the last budget, the remaining budgets are reported with the
+    walk's final state.
     """
     if not seeds:
         raise ValueError("need at least one walk seed")
     if not budgets or any(b <= 0 for b in budgets):
         raise ValueError("budgets must be positive node counts")
     budgets = sorted(budgets)
+    cap = max_steps if max_steps is not None else 1000 * oracle.node_count()
     points: list[CurvePoint] = []
     for seed in seeds:
-        oracle = make_oracle()
-        cap = max_steps if max_steps is not None else 1000 * oracle.node_count()
         acc = 0
         samples = 0
         pending = iter(budgets)
         next_budget = next(pending)
+        walk = _Walk(oracle, seed, start, None)
 
-        with _Walk(oracle, seed, start, None) as walk:
+        def snapshot(budget: int) -> CurvePoint:
+            est = acc / samples if samples else float("nan")
+            return CurvePoint(
+                seed=seed,
+                budget=budget,
+                nodes_seen=walk.count,
+                steps=walk.steps,
+                samples=samples,
+                estimate=est,
+                eps_t1=abs(est - t1_reference) / t1_reference,
+                eps_lambda=abs(est - lambda_reference) / lambda_reference,
+            )
 
-            def snapshot(budget: int) -> CurvePoint:
-                est = acc / samples if samples else float("nan")
-                return CurvePoint(
-                    seed=seed,
-                    budget=budget,
-                    nodes_seen=walk.count,
-                    steps=walk.steps,
-                    samples=samples,
-                    estimate=est,
-                    eps_t1=abs(est - t1_reference) / t1_reference,
-                    eps_lambda=abs(est - lambda_reference) / lambda_reference,
-                )
-
-            while next_budget is not None:
-                # Walk to the next sample step (t_star + j*thin), the step cap
-                # or the budget, whichever comes first; take at least one step.
-                steps = walk.steps
-                sample_step = t_star + max(0, -(-(steps - t_star) // thin)) * thin
-                d = walk.advance(max(1, min(sample_step + 1, cap) - steps), next_budget)
-                if walk.steps == sample_step + 1:
-                    acc += d
-                    samples += 1
-                while next_budget is not None and walk.count >= next_budget:
-                    points.append(snapshot(next_budget))
-                    next_budget = next(pending, None)
-                if next_budget is not None and walk.steps >= cap:
-                    # Budget unreachable in the step cap: emit the final state.
-                    points.append(snapshot(next_budget))
-                    points.extend(snapshot(b) for b in pending)
-                    next_budget = None
-        # free this seed's oracle before make_oracle() builds the next one
-        del oracle, walk
+        while next_budget is not None:
+            # Walk to the next sample step (t_star + j*thin), the step cap
+            # or the budget, whichever comes first; take at least one step.
+            steps = walk.steps
+            sample_step = t_star + max(0, -(-(steps - t_star) // thin)) * thin
+            d = walk.advance(max(1, min(sample_step + 1, cap) - steps), next_budget)
+            if walk.steps == sample_step + 1:
+                acc += d
+                samples += 1
+            while next_budget is not None and walk.count >= next_budget:
+                points.append(snapshot(next_budget))
+                next_budget = next(pending, None)
+            if next_budget is not None and walk.steps >= cap:
+                # Budget unreachable in the step cap: emit the final state.
+                points.append(snapshot(next_budget))
+                points.extend(snapshot(b) for b in pending)
+                next_budget = None
     return points

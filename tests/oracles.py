@@ -199,7 +199,7 @@ def ccdf_slope(degrees: np.ndarray, d_low: int, d_high: int) -> float:
 
 
 # The per-step walk loops the walk kernel replaced: every query goes
-# through the oracle's own counted degree/neighbor calls.
+# through the oracle's own degree/neighbor calls.
 
 
 def step_loop_walk_estimate(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from epithresh import graph as graph_module
 from epithresh.graph import (
     EdgeListParseError,
+    _components,
     build_graph,
     build_graph_with_report,
     degree_stats,
@@ -148,6 +149,18 @@ class TestDegreeStats:
         assert _exact_sum(values) == 10**20  # plain int64 sum would wrap
 
 
+@st.composite
+def _graphs_with_isolated_edges(draw):
+    """Random edges on 1..30 nodes plus up to 6 isolated edges (two degree-1
+    nodes joined only to each other), under shuffled node ids."""
+    n = draw(st.integers(1, 30))
+    raw = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    pairs = draw(st.integers(0, 6))
+    ids = draw(st.permutations(range(n + 2 * pairs)))
+    raw += [(n + 2 * i, n + 2 * i + 1) for i in range(pairs)]
+    return n + 2 * pairs, [(ids[u], ids[v]) for u, v in raw]
+
+
 class TestLargestComponent:
     def test_tie_break_smallest_id(self):
         two_triangles = build_graph(
@@ -199,13 +212,10 @@ class TestLargestComponent:
         assert sub.n == 1
         assert mapping.tolist() == [0]
 
-    @given(
-        n=st.integers(min_value=1, max_value=30),
-        raw=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=40),
-    )
+    @given(case=_graphs_with_isolated_edges())
     @settings(max_examples=100, deadline=None)
-    def test_matches_set_oracle(self, n, raw):
-        edges = [(u % n, v % n) for u, v in raw]
+    def test_matches_set_oracle(self, case):
+        n, edges = case
         g = build_graph(edges, n)
         adjacency = {v: set() for v in range(n)}
         for u, v in edges:
@@ -224,6 +234,9 @@ class TestLargestComponent:
                     stack.append(w)
             seen |= comp
             components.append(sorted(comp))
+        root, _ = _components(g)
+        for comp in components:
+            assert (root[comp] == comp[0]).all()
         best = max(components, key=len)  # max keeps the first on ties
         sub, mapping = largest_component(g)
         assert np.flatnonzero(mapping >= 0).tolist() == best

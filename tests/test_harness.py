@@ -113,6 +113,20 @@ class TestSyntheticExperiment:
         assert budgets == sorted(budgets)
         assert budgets[-1] == result.component_n
 
+    def test_budget_fraction_labels_its_own_budget(self):
+        # on the 40-node core, 0.01 and 0.02 both round up to budget 1
+        result = run_synthetic_experiment(
+            "chung-lu",
+            40,
+            seed=3,
+            params={"deg_dist": "uniform", "low": 4.0, "high": 8.0},
+            walk_seeds=3,
+        )
+        assert result.component_n == 40
+        assert [row.budget_fraction for row in result.curve] == [0.01, 0.05, 0.1, 0.2, 0.5, 1.0]
+        for row in result.curve:
+            assert row.budget == max(1, math.ceil(row.budget_fraction * result.component_n))
+
     def test_csv_headers_self_describing(self, tmp_path):
         result = run_synthetic_experiment(
             "pa", 200, seed=1, params={"edges_per_node": 3}, walk_seeds=2

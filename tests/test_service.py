@@ -6,6 +6,7 @@ import pytest
 
 from epithresh.service import (
     OracleProtocolError,
+    RemoteOracle,
     handle_request,
     remote_oracle,
     serve_oracle,
@@ -67,30 +68,44 @@ class _ScriptedServer(socketserver.ThreadingTCPServer):
         super().__exit__(*exc)
 
 
+class _CountingRemote(RemoteOracle):
+    """A RemoteOracle that counts its degree and neighbor calls."""
+
+    def __init__(self, address, timeout=10.0):
+        self.calls = 0
+        super().__init__(address, timeout)
+
+    def degree(self, v):
+        self.calls += 1
+        return super().degree(v)
+
+    def neighbor(self, v, k):
+        self.calls += 1
+        return super().neighbor(v, k)
+
+
 class TestRemoteOracle:
     def test_walk_replay_equivalence(self):
         g = random_connected_graph(80, seed=4, extra_edges=50)
         cfg = WalkConfig(t_star=20, r=100, thin=3, seed=11)
         with serve_oracle(g) as server:
-            with remote_oracle(server.address) as remote:
+            with _CountingRemote(server.address) as remote:
                 local_report = random_walk_estimate(local_oracle(g), cfg, trace=True)
                 remote_report = random_walk_estimate(remote, cfg, trace=True)
         assert remote_report.nodes == local_report.nodes
         assert remote_report.estimate == local_report.estimate
         assert remote_report.total_queries == local_report.total_queries
         assert remote_report.distinct_nodes_seen == local_report.distinct_nodes_seen
+        # the report counts every query the walk sent over the wire
+        assert remote.calls == remote_report.total_queries
 
     def test_remote_counters(self):
         g = star_graph(6)
         with serve_oracle(g) as server:
             with remote_oracle(server.address) as remote:
                 assert remote.node_count() == 6
-                remote.degree(0)
-                remote.neighbor(0, 2)
-                assert remote.total_queries == 2
-                assert remote.distinct_nodes_seen == 2  # node 0 and neighbor 3
-                remote.reset_counters()
-                assert remote.total_queries == 0
+                assert remote.degree(0) == 5
+                assert remote.neighbor(0, 2) == 3
 
     def test_out_of_range_raises(self):
         g = star_graph(6)
@@ -131,12 +146,12 @@ class TestRemoteOracle:
     @pytest.mark.parametrize("reply", ["-1", "-99999999999999999999"])
     def test_negative_degree_reply_raises(self, reply):
         with _ScriptedServer(degree=reply, neighbor="1") as server:
-            with remote_oracle(server.server_address, timeout=5) as remote:
+            with _CountingRemote(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match="negative degree"):
                     remote.degree(0)
                 with pytest.raises(OracleProtocolError, match="negative degree"):
                     random_walk_estimate(remote, WalkConfig(t_star=3, r=2))
-                assert remote.total_queries == 2
+                assert remote.calls == 2
 
     @pytest.mark.parametrize("reply", ["-1", "4", "10000000000000"])
     def test_out_of_range_neighbor_reply_raises(self, reply):
@@ -144,9 +159,8 @@ class TestRemoteOracle:
             with remote_oracle(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match=r"out of range \[0, 4\)"):
                     remote.neighbor(0, 1)
-                assert remote.distinct_nodes_seen == 0
                 with pytest.raises(OracleProtocolError, match="out of range"):
-                    error_curve(lambda: remote, 2.0, 2.0, [1], [3], t_star=0)
+                    error_curve(remote, 2.0, 2.0, [1], [3], t_star=0)
 
 
 class TestLineCap:

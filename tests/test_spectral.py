@@ -243,7 +243,8 @@ class TestMixingTime:
 def parity_graphs(draw):
     """Graphs on 0..30 nodes from even-odd (bipartite) edges plus optional odd
     cycles; edges across a drawn cut are dropped, so there are often several
-    components, and nodes no edge touches stay isolated."""
+    components, and nodes no edge touches stay isolated. Up to 4 isolated
+    edges on extra nodes join them, and all node ids are shuffled."""
     n = draw(st.integers(0, 30))
     edges = []
     if n >= 2:
@@ -256,7 +257,11 @@ def parity_graphs(draw):
             cycle = cycle[: len(cycle) - 1 + len(cycle) % 2]  # odd length
             edges += list(zip(cycle, cycle[1:] + cycle[:1]))
     cut = draw(st.integers(0, n))
-    return build_graph([(u, v) for u, v in edges if (u < cut) == (v < cut)], n)
+    edges = [(u, v) for u, v in edges if (u < cut) == (v < cut)]
+    pairs = draw(st.integers(0, 4))
+    edges += [(n + 2 * i, n + 2 * i + 1) for i in range(pairs)]
+    ids = draw(st.permutations(range(n + 2 * pairs)))
+    return build_graph([(ids[u], ids[v]) for u, v in edges], n + 2 * pairs)
 
 
 class TestComponentTraversal:

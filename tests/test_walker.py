@@ -2,7 +2,6 @@ import dataclasses
 import math
 import random
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -52,15 +51,9 @@ class TestLocalOracle:
         # a 100-step walk costs 100 degree + 100 neighbor queries
         assert report.total_steps == 100
         assert report.total_queries == 200
-        assert oracle.total_queries == 200
-        assert oracle.distinct_nodes_seen == report.distinct_nodes_seen
-
-    def test_reset_counters(self):
-        oracle = local_oracle(cycle_graph(5))
-        oracle.degree(0)
-        oracle.reset_counters()
-        assert oracle.total_queries == 0
-        assert oracle.distinct_nodes_seen == 0
+        checked = _CheckedOracle(g)  # the per-query path asks what the report counts
+        assert random_walk_estimate(checked, WalkConfig(t_star=99, r=1, thin=1, seed=0)) == report
+        assert len(checked.log) == 200
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
@@ -148,7 +141,7 @@ class TestErrorCurve:
     def test_regular_graph_zero_error_everywhere(self):
         g = cycle_graph(64)
         points = error_curve(
-            make_oracle=lambda: local_oracle(g),
+            local_oracle(g),
             t1_reference=2.0,
             lambda_reference=2.0,
             seeds=[1, 2, 3],
@@ -164,7 +157,7 @@ class TestErrorCurve:
         g = random_connected_graph(200, seed=3, extra_edges=150)
         t1 = t1_estimate(g).t1
         points = error_curve(
-            make_oracle=lambda: local_oracle(g),
+            local_oracle(g),
             t1_reference=t1,
             lambda_reference=t1,
             seeds=[5],
@@ -180,7 +173,7 @@ class TestErrorCurve:
     def test_step_cap_emits_remaining_budgets(self):
         g = cycle_graph(30)
         points = error_curve(
-            make_oracle=lambda: local_oracle(g),
+            local_oracle(g),
             t1_reference=2.0,
             lambda_reference=2.0,
             seeds=[1],
@@ -193,29 +186,7 @@ class TestErrorCurve:
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            error_curve(lambda: None, 1.0, 1.0, [], [1], t_star=0)
-
-    @pytest.mark.parametrize("max_steps", [None, 25])
-    @pytest.mark.parametrize(
-        "new_oracle", [local_oracle, lambda g: _CheckedOracle(g)], ids=["local", "checked"]
-    )
-    def test_each_oracle_is_freed_before_the_next(self, new_oracle, max_steps):
-        # the bulk-charged LocalOracle path and a subclass's per-query path,
-        # with every budget reached and with the step cap cutting the walk
-        g = random_connected_graph(80, seed=4, extra_edges=60)
-        made = []
-
-        def make_oracle():
-            assert all(ref() is None for ref in made), "previous oracle still alive"
-            oracle = new_oracle(g)
-            made.append(weakref.ref(oracle))
-            return oracle
-
-        points = error_curve(
-            make_oracle, 1.0, 1.0, seeds=[1, 2, 3], budgets=[10, 40, 80],
-            t_star=3, thin=2, max_steps=max_steps,
-        )
-        assert len(made) == 3 and len(points) == 9
+            error_curve(local_oracle(cycle_graph(3)), 1.0, 1.0, [], [1], t_star=0)
 
 
 class _CheckedOracle(LocalOracle):
@@ -290,42 +261,38 @@ class TestWalkKernel:
             cfg = dataclasses.replace(cfg, start=start % g.n)
             want = _outcome(lambda: step_loop_walk_estimate(slow, cfg, trace=trace))
             assert _outcome(lambda: random_walk_estimate(fast, cfg, trace=trace)) == want
-            assert (fast.total_queries, fast.distinct_nodes_seen) == (
-                slow.total_queries, slow.distinct_nodes_seen)
-            # the per-query path: same report and the same queries, in order
+            # the per-query path: same report and the same queries, in order,
+            # as many as the report counts
+            checked.log.clear()
+            logged.log.clear()
             assert _outcome(lambda: random_walk_estimate(checked, cfg, trace=trace)) == want
             _outcome(lambda: step_loop_walk_estimate(logged, cfg, trace=trace))
             assert checked.log == logged.log
-            assert (checked.total_queries, checked.distinct_nodes_seen) == (
-                slow.total_queries, slow.distinct_nodes_seen)
             report, _ = want
-            if report is not None and trace:
-                assert len(report.nodes) == report.total_steps + 1
+            if report is not None:
+                assert len(checked.log) == report.total_queries
+                if trace:
+                    assert len(report.nodes) == report.total_steps + 1
 
     @given(g=_walk_graphs(), seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
            budgets=st.lists(st.integers(1, 17), min_size=1, max_size=5),
            t_star=st.integers(0, 12), thin=st.integers(1, 5), start=st.integers(0, 13),
-           max_steps=st.one_of(st.none(), st.integers(0, 150)), shared=st.booleans())
+           max_steps=st.one_of(st.none(), st.integers(0, 150)))
     @settings(max_examples=200, deadline=None)
     def test_error_curve_matches_step_loop(self, g, seeds, budgets, t_star, thin, start,
-                                           max_steps, shared):
+                                           max_steps):
         start %= g.n
         if max_steps is None and max(budgets) > g.n:
             max_steps = 2000  # the default cap of 1000*n steps is slow in the step loop
-        one = {"fast": local_oracle(g), "slow": local_oracle(g)}
-
-        def run(curve, key):
-            make = (lambda: one[key]) if shared else (lambda: local_oracle(g))
-            return _outcome(lambda: curve(make, 2.0, 3.0, seeds, budgets, t_star=t_star,
-                                          thin=thin, start=start, max_steps=max_steps))
-
-        (got, got_stuck) = run(error_curve, "fast")
-        (want, want_stuck) = run(step_loop_error_curve, "slow")
+        oracle = local_oracle(g)
+        kwargs = dict(t_star=t_star, thin=thin, start=start, max_steps=max_steps)
+        (got, got_stuck) = _outcome(
+            lambda: error_curve(oracle, 2.0, 3.0, seeds, budgets, **kwargs))
+        (want, want_stuck) = _outcome(
+            lambda: step_loop_error_curve(lambda: oracle, 2.0, 3.0, seeds, budgets, **kwargs))
         assert got_stuck == want_stuck
         if want is not None:
             _same_points(got, want)
-        assert (one["fast"].total_queries, one["fast"].distinct_nodes_seen) == (
-            one["slow"].total_queries, one["slow"].distinct_nodes_seen)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -339,17 +306,15 @@ class TestWalkKernel:
     def test_corner_configs_on_a_chung_lu_core(self, cfg):
         ed = uniform_expected_degrees(300, 2.0, 9.0, seed=1)
         g, _ = largest_component(chung_lu_sample_fast(ed, 2))
-        fast, slow = local_oracle(g), local_oracle(g)
-        assert random_walk_estimate(fast, cfg, trace=True) == step_loop_walk_estimate(
-            slow, cfg, trace=True)
-        assert (fast.total_queries, fast.distinct_nodes_seen) == (
-            slow.total_queries, slow.distinct_nodes_seen)
+        oracle = local_oracle(g)
+        assert random_walk_estimate(oracle, cfg, trace=True) == step_loop_walk_estimate(
+            oracle, cfg, trace=True)
         budgets = [1, 2, g.n // 2, g.n, g.n + 5]
         for max_steps in (0, 1, 400):
             _same_points(
-                error_curve(lambda: local_oracle(g), 2.0, 3.0, [1, 2], budgets, cfg.t_star,
+                error_curve(oracle, 2.0, 3.0, [1, 2], budgets, cfg.t_star,
                             cfg.thin, max_steps=max_steps),
-                step_loop_error_curve(lambda: local_oracle(g), 2.0, 3.0, [1, 2], budgets,
+                step_loop_error_curve(lambda: oracle, 2.0, 3.0, [1, 2], budgets,
                                       cfg.t_star, cfg.thin, max_steps=max_steps),
             )
 
@@ -359,24 +324,22 @@ class TestWalkKernel:
         with pytest.raises(IndexError, match=f"node {start} out of range"):
             random_walk_estimate(oracle, WalkConfig(t_star=3, r=2, start=start))
         with pytest.raises(IndexError):
-            error_curve(lambda: oracle, 2.0, 2.0, [1], [3], t_star=0, start=start)
-        assert (oracle.total_queries, oracle.distinct_nodes_seen) == (0, 0)
+            error_curve(oracle, 2.0, 2.0, [1], [3], t_star=0, start=start)
 
     def test_isolated_start_charges_like_the_step_loop(self):
         g = build_graph([(1, 2)], 4)  # nodes 0 and 3 isolated
-        fast, slow = local_oracle(g), local_oracle(g)
-        for start in (0, 3):
-            cfg = WalkConfig(t_star=2, r=3, start=start)
-            with pytest.raises(ZeroDegreeNodeError, match=f"node {start}"):
-                random_walk_estimate(fast, cfg)
-            with pytest.raises(ZeroDegreeNodeError, match=f"node {start}"):
-                step_loop_walk_estimate(slow, cfg)
-            assert (fast.total_queries, fast.distinct_nodes_seen) == (
-                slow.total_queries, slow.distinct_nodes_seen)
-        assert (fast.total_queries, fast.distinct_nodes_seen) == (2, 2)
-        with pytest.raises(ZeroDegreeNodeError, match="node 3"):
-            error_curve(lambda: fast, 1.0, 1.0, [1], [2], t_star=0, start=3)
-        assert (fast.total_queries, fast.distinct_nodes_seen) == (3, 2)
+        checked = _CheckedOracle(g)
+        for oracle in (local_oracle(g), checked):
+            for start in (0, 3):
+                cfg = WalkConfig(t_star=2, r=3, start=start)
+                with pytest.raises(ZeroDegreeNodeError, match=f"node {start}"):
+                    random_walk_estimate(oracle, cfg)
+                with pytest.raises(ZeroDegreeNodeError, match=f"node {start}"):
+                    step_loop_walk_estimate(oracle, cfg)
+            with pytest.raises(ZeroDegreeNodeError, match="node 3"):
+                error_curve(oracle, 1.0, 1.0, [1], [2], t_star=0, start=3)
+        # the per-query path asks only the dead end's degree, as the step loop does
+        assert checked.log == [("DEG", 0)] * 2 + [("DEG", 3)] * 3
 
     def test_draw_is_randrange_over_one_stream(self):
         """Each step's neighbor index is Random(seed).randrange(degree)."""
@@ -400,11 +363,6 @@ class TestWalkKernel:
                 self.draws.append(k)
                 return 0
 
-            total_queries = distinct_nodes_seen = 0
-
-            def reset_counters(self):
-                pass
-
         for seed in (0, 1, 2**40 + 3):
             oracle = Scripted()
             random_walk_estimate(oracle, WalkConfig(t_star=len(degrees) - 1, r=1, seed=seed))
@@ -416,7 +374,7 @@ class TestWalkKernel:
         oracle = _Foreign(n=4, degree=degree)
         walks = [
             lambda: random_walk_estimate(oracle, WalkConfig(t_star=3, r=2, start=2)),
-            lambda: error_curve(lambda: oracle, 2.0, 2.0, [1], [3], t_star=0, start=2),
+            lambda: error_curve(oracle, 2.0, 2.0, [1], [3], t_star=0, start=2),
         ]
         for walk in walks:
             # in a thread, so that a draw that never ends fails the test
@@ -437,16 +395,17 @@ class TestWalkKernel:
             assert random_walk_estimate(_Foreign(n), cfg, trace=True) == (
                 step_loop_walk_estimate(_Foreign(n), cfg, trace=True))
         budgets = [1, 3, 6, 9, 11, 12]
+        oracle = _Foreign(n)
         _same_points(
-            error_curve(lambda: _Foreign(n), 2.0, 3.0, [0, 1, 2], budgets, 3, 2, max_steps=300),
-            step_loop_error_curve(lambda: _Foreign(n), 2.0, 3.0, [0, 1, 2], budgets, 3, 2,
+            error_curve(oracle, 2.0, 3.0, [0, 1, 2], budgets, 3, 2, max_steps=300),
+            step_loop_error_curve(lambda: oracle, 2.0, 3.0, [0, 1, 2], budgets, 3, 2,
                                   max_steps=300),
         )
 
 
 class _Foreign(GraphOracle):
     """An oracle that reports n nodes but answers node ids from -3 to 7, each
-    of degree ``degree``; it keeps no counters."""
+    of degree ``degree``."""
 
     def __init__(self, n, degree=3):
         self.n, self.d = n, degree
@@ -459,8 +418,3 @@ class _Foreign(GraphOracle):
 
     def neighbor(self, v, k):
         return (7 * v + k) % 11 - 3
-
-    total_queries = distinct_nodes_seen = 0
-
-    def reset_counters(self):
-        pass
