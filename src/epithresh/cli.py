@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -30,11 +29,10 @@ from .generators import (
     chung_lu_sample_naive,
     count_clamped_pairs,
     expected_degrees,
-    preferential_attachment,
 )
 from .graph import degree_stats, largest_component, read_edge_list, write_edge_list
 from .harness import (
-    chung_lu_degrees,
+    model_graph,
     run_synthetic_experiment,
     run_t1_benchmark,
     write_curve_csv,
@@ -43,7 +41,7 @@ from .harness import (
 from .service import remote_oracle, serve_oracle
 from .sir import SirParams, sir_simulate, threshold_sweep
 from .spectral import bipartite_coloring, spectral_gap, spectral_radius
-from .walker import WalkConfig, local_oracle, random_walk_estimate
+from .walker import WalkConfig, _default_t_star, local_oracle, random_walk_estimate
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -77,43 +75,42 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+# The parameters the model flags set; harness.model_graph owns their defaults.
+_MODEL_PARAMS = ("deg_dist", "beta", "d_min", "low", "high", "edges_per_node")
+
+
+def _add_model_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", choices=["chung-lu", "pa"], required=True)
+    p.add_argument("--n", type=int, required=True)
+    group = p.add_argument_group("model parameters", "unset flags take the library defaults")
+    group.add_argument("--deg-dist", choices=["powerlaw", "uniform"], help="chung-lu degree law")
+    group.add_argument("--beta", type=float, help="power-law tail exponent")
+    group.add_argument(
+        "--dmin", dest="d_min", metavar="DMIN", type=float, help="minimum expected degree"
+    )
+    group.add_argument("--low", type=float, help="uniform degree low end")
+    group.add_argument("--high", type=float, help="uniform degree high end")
+    group.add_argument("--edges-per-node", type=int, help="pa edges added per new node")
+
+
 def _model_params(args) -> dict:
-    """The model parameters named by the generate/experiment arguments."""
-    if args.model == "pa":
-        return {"edges_per_node": args.edges_per_node}
-    if args.deg_dist == "powerlaw":
-        return {"deg_dist": "powerlaw", "beta": args.beta, "d_min": args.dmin}
-    return {"deg_dist": "uniform", "low": args.low, "high": args.high}
+    """The model parameters set by the generate/experiment arguments."""
+    return {k: v for k in _MODEL_PARAMS if (v := getattr(args, k)) is not None}
 
 
 def _cmd_generate(args) -> int:
-    params = _model_params(args)
-    if args.model == "chung-lu":
-        ed, params = chung_lu_degrees(args.n, args.seed, params)
-        sampler = chung_lu_sample_naive if args.sampler == "naive" else chung_lu_sample_fast
-        g = sampler(ed, args.seed + 1)
-        sidecar = {
-            "model": "chung-lu",
-            **params,
-            "n": g.n,
-            "m": g.m,
-            "S": ed.S,
-            "delta_max": ed.delta_max,
-            "feasible": ed.feasible,
-            "clamped_entries": ed.clamped,
-            "clamped_pairs": count_clamped_pairs(ed),
-            "sampler": args.sampler,
-            "seed": args.seed,
-        }
-    else:
-        g = preferential_attachment(args.n, args.edges_per_node, args.seed)
-        sidecar = {
-            "model": "pa",
-            **params,
-            "n": g.n,
-            "m": g.m,
-            "seed": args.seed,
-        }
+    sampler = chung_lu_sample_naive if args.sampler == "naive" else chung_lu_sample_fast
+    g, params, ed = model_graph(args.model, args.n, args.seed, _model_params(args), sampler)
+    sidecar = {"model": args.model, **params, "n": g.n, "m": g.m, "seed": args.seed}
+    if ed is not None:
+        sidecar.update(
+            S=ed.S,
+            delta_max=ed.delta_max,
+            feasible=ed.feasible,
+            clamped_entries=ed.clamped,
+            clamped_pairs=count_clamped_pairs(ed),
+            sampler=args.sampler,
+        )
     write_edge_list(g, args.out)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -217,9 +214,7 @@ def _cmd_walk(args) -> int:
             plan_note = asdict(plan)
         else:
             r = args.r
-            t_star = args.tstar if args.tstar is not None else math.ceil(
-                10.0 * math.log(max(2, oracle.node_count()))
-            )
+            t_star = args.tstar if args.tstar is not None else _default_t_star(component.n)
     try:
         cfg = WalkConfig(t_star=t_star, r=r, thin=args.thin, seed=args.seed, start=start)
         report = random_walk_estimate(oracle, cfg)
@@ -354,14 +349,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic graph edge list")
-    p.add_argument("--model", choices=["chung-lu", "pa"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, default=2.5, help="power-law tail exponent")
-    p.add_argument("--dmin", type=float, default=1.0, help="minimum expected degree")
-    p.add_argument("--deg-dist", choices=["powerlaw", "uniform"], default="powerlaw")
-    p.add_argument("--low", type=float, default=20.0, help="uniform degree low end")
-    p.add_argument("--high", type=float, default=80.0, help="uniform degree high end")
-    p.add_argument("--edges-per-node", type=int, default=5)
+    _add_model_args(p)
     p.add_argument("--sampler", choices=["fast", "naive"], default="fast")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -434,15 +422,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bench_t1)
 
     p = sub.add_parser("experiment", help="full synthetic experiment with error curves")
-    p.add_argument("--model", choices=["chung-lu", "pa"], required=True)
-    p.add_argument("--n", type=int, required=True)
+    _add_model_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deg-dist", choices=["powerlaw", "uniform"], default="powerlaw")
-    p.add_argument("--beta", type=float, default=2.5)
-    p.add_argument("--dmin", type=float, default=1.0)
-    p.add_argument("--low", type=float, default=20.0)
-    p.add_argument("--high", type=float, default=80.0)
-    p.add_argument("--edges-per-node", type=int, default=5)
     p.add_argument("--walk-seeds", type=int, default=10)
     p.add_argument("--thin", type=int, default=10)
     p.add_argument("--out", help="directory for records.csv and curve.csv")

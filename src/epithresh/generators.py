@@ -165,20 +165,18 @@ def _warn_if_infeasible(ed: ExpectedDegrees, where: str) -> None:
         )
 
 
-def chung_lu_sample_naive(
-    ed: ExpectedDegrees, seed: int, force: bool = False
-) -> Graph:
+def chung_lu_sample_naive(ed: ExpectedDegrees, seed: int) -> Graph:
     """Reference sampler: every pair i < j independently with probability
     min(1, delta_i delta_j / S).
 
-    Quadratic in n, so refuses n > 20000 unless ``force`` is set. Kept as
-    the distributional oracle for the fast sampler.
+    Quadratic in n, so refuses n > NAIVE_SAMPLER_NODE_GUARD. Kept as the
+    distributional oracle for the fast sampler.
     """
     n = ed.n
-    if n > NAIVE_SAMPLER_NODE_GUARD and not force:
+    if n > NAIVE_SAMPLER_NODE_GUARD:
         raise ValueError(
             f"naive sampler is quadratic; n = {n} exceeds the "
-            f"{NAIVE_SAMPLER_NODE_GUARD}-node guard (pass force=True to override)"
+            f"{NAIVE_SAMPLER_NODE_GUARD}-node guard"
         )
     _warn_if_infeasible(ed, "chung_lu_sample_naive")
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ import math
 import os
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .generators import (
 )
 from .graph import Graph, largest_component
 from .spectral import bipartite_coloring, spectral_radius
-from .walker import CurvePoint, error_curve, local_oracle
+from .walker import CurvePoint, _default_t_star, error_curve, local_oracle
 
 __all__ = [
     "ExperimentConfig",
@@ -38,7 +39,7 @@ __all__ = [
     "CurveSummary",
     "ExperimentResult",
     "DEFAULT_BUDGET_FRACTIONS",
-    "chung_lu_degrees",
+    "model_graph",
     "theta_product_expected_degrees",
     "run_t1_benchmark",
     "run_synthetic_experiment",
@@ -212,35 +213,42 @@ def run_t1_benchmark(
     return records, summary, config
 
 
-def chung_lu_degrees(n: int, seed: int, params: dict) -> tuple[ExpectedDegrees, dict]:
-    """Expected degrees drawn from ``seed`` and the parameters used, for a
-    Chung-Lu ``params`` of ``deg_dist`` "powerlaw" (``beta``, ``d_min``) or
-    "uniform" (``low``, ``high``), missing entries taking their defaults.
-    The graph itself is then sampled from ``seed + 1``."""
+def model_graph(
+    model: str,
+    n: int,
+    seed: int,
+    params: dict,
+    sampler: Callable[[ExpectedDegrees, int], Graph] = chung_lu_sample_fast,
+) -> tuple[Graph, dict, ExpectedDegrees | None]:
+    """The graph of a named model, the parameters it used, and its expected
+    degrees (None for a model without them).
+
+    "chung-lu" draws expected degrees from ``seed``, of ``deg_dist``
+    "powerlaw" (``beta``, ``d_min``) or "uniform" (``low``, ``high``), and
+    samples the graph from them with ``sampler`` and ``seed + 1``. "pa" grows
+    a preferential-attachment graph of ``edges_per_node`` from ``seed``.
+    Missing entries take their defaults; entries the model does not use are
+    ignored.
+    """
+    if model == "pa":
+        epn = int(params.get("edges_per_node", 5))
+        return preferential_attachment(n, epn, seed), {"edges_per_node": epn}, None
+    if model != "chung-lu":
+        raise ValueError(f"unknown model {model!r} (expected 'chung-lu' or 'pa')")
     dist = params.get("deg_dist", "powerlaw")
     if dist == "powerlaw":
         beta = float(params.get("beta", 2.5))
         d_min = float(params.get("d_min", 1.0))
         ed = power_law_expected_degrees(n, beta, d_min, seed)
-        return ed, {"deg_dist": "powerlaw", "beta": beta, "d_min": d_min}
-    if dist == "uniform":
+        used = {"deg_dist": dist, "beta": beta, "d_min": d_min}
+    elif dist == "uniform":
         low = float(params.get("low", 20.0))
         high = float(params.get("high", 80.0))
         ed = uniform_expected_degrees(n, low, high, seed)
-        return ed, {"deg_dist": "uniform", "low": low, "high": high}
-    raise ValueError(f"unknown degree distribution {dist!r}")
-
-
-def _generate_model_graph(
-    model: str, n: int, seed: int, params: dict
-) -> tuple[Graph, dict]:
-    if model == "chung-lu":
-        ed, used = chung_lu_degrees(n, seed, params)
-        return chung_lu_sample_fast(ed, seed + 1), used
-    if model == "pa":
-        epn = int(params.get("edges_per_node", 5))
-        return preferential_attachment(n, epn, seed), {"edges_per_node": epn}
-    raise ValueError(f"unknown model {model!r} (expected 'chung-lu' or 'pa')")
+        used = {"deg_dist": dist, "low": low, "high": high}
+    else:
+        raise ValueError(f"unknown degree distribution {dist!r}")
+    return sampler(ed, seed + 1), used, ed
 
 
 def run_synthetic_experiment(
@@ -259,16 +267,16 @@ def run_synthetic_experiment(
     computed on the full graph (the headline record) and again on the
     largest component, which is what the walks can actually reach and what
     the error curves are measured against. Budgets are fractions of the
-    component's node count; walks sample every ``thin``-th step after a
-    burn-in that defaults to ceil(10 ln n_component).
+    component's node count; walks sample every ``thin``-th step after
+    ``t_star`` burn-in steps, by default the walker's burn-in for the
+    component's node count.
     """
-    params = dict(params or {})
     if isinstance(walk_seeds, int):
         master = np.random.default_rng(seed)
         seeds = tuple(int(master.integers(2**63 - 1)) for _ in range(walk_seeds))
     else:
         seeds = tuple(walk_seeds)
-    graph, used_params = _generate_model_graph(model, n, seed, params)
+    graph, used_params, _ = model_graph(model, n, seed, params or {})
     config = ExperimentConfig(
         experiment="error-curve",
         model=model,
@@ -297,7 +305,7 @@ def run_synthetic_experiment(
         )
     comp_t1 = t1_estimate(component).t1
     comp_lambda = spectral_radius(component).value
-    burn_in = t_star if t_star is not None else math.ceil(10.0 * math.log(component.n))
+    burn_in = t_star if t_star is not None else _default_t_star(component.n)
     frac_of: dict[int, float] = {}
     for f in sorted(budget_fractions):  # the smallest fraction names a shared budget
         frac_of.setdefault(max(1, math.ceil(f * component.n)), f)

@@ -136,7 +136,13 @@ class RemoteOracle(GraphOracle):
     def __init__(self, address: tuple[str, int], timeout: float = 10.0):
         self._sock = socket.create_connection(address, timeout=timeout)
         self._file = self._sock.makefile("rwb")
-        self._n = int(self._exchange("N"))
+        try:
+            self._n = self._int_reply("N", "node count")
+            if self._n < 0:
+                raise OracleProtocolError(f"negative node count reply {self._n}")
+        except BaseException:
+            self.close()
+            raise
 
     def _exchange(self, request: str) -> str:
         self._file.write((request + "\n").encode(_ENCODING))
@@ -151,27 +157,26 @@ class RemoteOracle(GraphOracle):
             raise OracleProtocolError(f"oracle error for {request!r}: {reply}")
         return reply
 
+    def _int_reply(self, request: str, what: str) -> int:
+        reply = self._exchange(request)
+        try:
+            return int(reply)
+        except ValueError:
+            raise OracleProtocolError(f"non-integer {what} reply {reply!r}") from None
+
     def node_count(self) -> int:
         return self._n
 
     def degree(self, v: int) -> int:
-        reply = self._exchange(f"DEG {v}")
-        try:
-            d = int(reply)
-        except ValueError:
-            raise OracleProtocolError(f"non-integer degree reply {reply!r}") from None
+        d = self._int_reply(f"DEG {v}", "degree")
         if d < 0:
-            raise OracleProtocolError(f"negative degree reply {reply!r} for node {v}")
+            raise OracleProtocolError(f"negative degree reply {d} for node {v}")
         return d
 
     def neighbor(self, v: int, k: int) -> int:
-        reply = self._exchange(f"NBR {v} {k}")
-        try:
-            u = int(reply)
-        except ValueError:
-            raise OracleProtocolError(f"non-integer neighbor reply {reply!r}") from None
+        u = self._int_reply(f"NBR {v} {k}", "neighbor")
         if not 0 <= u < self._n:
-            raise OracleProtocolError(f"neighbor reply {reply!r} out of range [0, {self._n})")
+            raise OracleProtocolError(f"neighbor reply {u} out of range [0, {self._n})")
         return u
 
     def close(self) -> None:

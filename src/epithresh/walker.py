@@ -33,6 +33,7 @@ whatever node count or ids the oracle reports.
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 from collections import defaultdict
@@ -184,6 +185,11 @@ def _recording(neighbor: Callable[[int, int], int], append: Callable[[int], None
         return u
 
     return traced
+
+
+def _default_t_star(n: int) -> int:
+    """Default burn-in for walks on an n-node component: ceil(10 ln n) steps."""
+    return math.ceil(10.0 * math.log(n))
 
 
 @dataclass(frozen=True)

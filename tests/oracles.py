@@ -274,12 +274,13 @@ def step_loop_error_curve(
 ) -> list[CurvePoint]:
     """Walk-estimate error versus distinct-nodes-seen budget, one walk per seed.
 
-    ``make_oracle`` is called once per seed so each walk carries fresh
-    counters. Each walk runs with the given burn-in and thinning, recording
-    its running degree average whenever the number of distinct nodes seen
-    first reaches a budget; relative errors are taken against the supplied
-    references. If the step cap is hit before the last budget, the remaining
-    budgets are reported with the walk's final state.
+    ``make_oracle`` is called once per seed for the oracle that seed's walk
+    runs on; callers pass ``lambda: oracle`` to walk one oracle. Each walk
+    runs with the given burn-in and thinning, recording its running degree
+    average whenever the number of distinct nodes seen first reaches a
+    budget; relative errors are taken against the supplied references. If
+    the step cap is hit before the last budget, the remaining budgets are
+    reported with the walk's final state.
     """
     if not seeds:
         raise ValueError("need at least one walk seed")

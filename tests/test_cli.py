@@ -6,6 +6,12 @@ import pytest
 
 from epithresh.cli import main
 from epithresh.graph import read_edge_list, write_edge_list
+from epithresh.harness import (
+    model_graph,
+    run_synthetic_experiment,
+    write_curve_csv,
+    write_records_csv,
+)
 
 from conftest import random_connected_graph
 
@@ -187,6 +193,40 @@ class TestHarnessCommands:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+
+# Each model with no parameter flags but the uniform law's name, and the
+# library parameters they stand for: the CLI must use the library's defaults.
+DEFAULT_MODELS = [
+    ("chung-lu", (), {}),
+    ("chung-lu", ("--deg-dist", "uniform"), {"deg_dist": "uniform"}),
+    ("pa", (), {}),
+]
+
+
+@pytest.mark.parametrize("model,flags,params", DEFAULT_MODELS, ids=["powerlaw", "uniform", "pa"])
+class TestLibraryDefaults:
+    def test_generate_matches_model_graph(self, tmp_path, model, flags, params):
+        out = str(tmp_path / "g.txt")
+        assert run_cli(
+            "generate", "--model", model, "--n", "300", "--seed", "3", *flags, "--out", out
+        ) == 0
+        assert read_edge_list(out).identical(model_graph(model, 300, 3, params)[0])
+
+    def test_experiment_matches_run_synthetic_experiment(
+        self, tmp_path, capsys, model, flags, params
+    ):
+        out = tmp_path / "cli"
+        assert run_cli(
+            "experiment", "--model", model, "--n", "300", "--seed", "3", *flags,
+            "--walk-seeds", "2", "--out", str(out),
+        ) == 0
+        capsys.readouterr()
+        result = run_synthetic_experiment(model, 300, 3, params=params, walk_seeds=2)
+        write_records_csv(str(tmp_path / "records.csv"), result.config, result.records)
+        write_curve_csv(str(tmp_path / "curve.csv"), result.config, result.curve)
+        for name in ("records.csv", "curve.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 class TestExitCodes:

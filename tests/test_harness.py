@@ -150,8 +150,8 @@ class TestSyntheticExperiment:
         from epithresh.graph import build_graph
 
         monkeypatch.setattr(
-            "epithresh.harness._generate_model_graph",
-            lambda model, n, seed, params: (build_graph([(0, 1), (1, 2)], 3), {}),
+            "epithresh.harness.model_graph",
+            lambda model, n, seed, params: (build_graph([(0, 1), (1, 2)], 3), {}, None),
         )
         with pytest.warns(RuntimeWarning, match="bipartite"):
             run_synthetic_experiment(

@@ -1,6 +1,8 @@
+import gc
 import socket
 import socketserver
 import threading
+import warnings
 
 import pytest
 
@@ -46,13 +48,13 @@ class TestProtocol:
 
 
 class _ScriptedServer(socketserver.ThreadingTCPServer):
-    """A misbehaving oracle server: "N" gets "4", "DEG ..." gets ``degree``
+    """A misbehaving oracle server: "N" gets ``n``, "DEG ..." gets ``degree``
     and "NBR ..." gets ``neighbor``."""
 
     daemon_threads = True
 
-    def __init__(self, degree: str, neighbor: str):
-        self.replies = {b"N": b"4", b"DEG": degree.encode(), b"NBR": neighbor.encode()}
+    def __init__(self, degree: str = "1", neighbor: str = "1", n: str = "4"):
+        self.replies = {b"N": n.encode(), b"DEG": degree.encode(), b"NBR": neighbor.encode()}
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(handler):
@@ -142,6 +144,16 @@ class TestRemoteOracle:
             for t in threads:
                 t.join()
         assert all(value == expected for value in results.values())
+
+    @pytest.mark.parametrize("reply", ["abc", "-3", "ERR boom"])
+    def test_bad_node_count_reply_raises_and_closes(self, reply):
+        with _ScriptedServer(n=reply) as server:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(OracleProtocolError):
+                    remote_oracle(server.server_address, timeout=5)
+                gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     @pytest.mark.parametrize("reply", ["-1", "-99999999999999999999"])
     def test_negative_degree_reply_raises(self, reply):
