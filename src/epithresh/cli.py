@@ -93,14 +93,15 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     group.add_argument("--edges-per-node", type=int, help="pa edges added per new node")
 
 
-def _model_params(args) -> dict:
-    """The model parameters set by the generate/experiment arguments."""
-    return {k: v for k in _MODEL_PARAMS if (v := getattr(args, k)) is not None}
+def _given(args, names: tuple[str, ...]) -> dict:
+    """The named arguments that were set; an unset one is None and is left
+    to the library's default."""
+    return {k: v for k in names if (v := getattr(args, k)) is not None}
 
 
 def _cmd_generate(args) -> int:
     sampler = chung_lu_sample_naive if args.sampler == "naive" else chung_lu_sample_fast
-    g, params, ed = model_graph(args.model, args.n, args.seed, _model_params(args), sampler)
+    g, params, ed = model_graph(args.model, args.n, args.seed, _given(args, _MODEL_PARAMS), sampler)
     sidecar = {"model": args.model, **params, "n": g.n, "m": g.m, "seed": args.seed}
     if ed is not None:
         sidecar.update(
@@ -311,9 +312,8 @@ def _cmd_experiment(args) -> int:
         args.model,
         args.n,
         seed=args.seed,
-        params=_model_params(args),
-        walk_seeds=args.walk_seeds,
-        thin=args.thin,
+        params=_given(args, _MODEL_PARAMS),
+        **_given(args, ("walk_seeds", "thin")),
     )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -424,8 +424,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="full synthetic experiment with error curves")
     _add_model_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--walk-seeds", type=int, default=10)
-    p.add_argument("--thin", type=int, default=10)
+    p.add_argument("--walk-seeds", type=int, help="walks per curve (default: the library's)")
+    p.add_argument("--thin", type=int, help="steps between samples (default: the library's)")
     p.add_argument("--out", help="directory for records.csv and curve.csv")
     p.set_defaults(func=_cmd_experiment)
 

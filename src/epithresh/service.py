@@ -4,16 +4,30 @@ This materializes the node-query cost model: a walker on one machine pays
 per degree/neighbor lookup against the graph held elsewhere. The protocol
 is deliberately tiny - one LF-terminated request per line:
 
-    "N"          ->  "<node count>"
-    "DEG <v>"    ->  "<degree of v>"
-    "NBR <v> <k>" -> "<k-th sorted neighbor of v>"
-    anything bad ->  "ERR <reason>"
+    "N"           ->  "<node count>"
+    "DEG <v>"     ->  "<degree of v>"
+    "NBR <v> <k>" ->  "<k-th sorted neighbor of v>"
+    "STEP <v> <k>" -> "<u> <degree of u>", u the k-th sorted neighbor of v
+    "STATS"       ->  the server's counters, nine integers (STATS_FIELDS)
+    anything bad  ->  "ERR <reason>"
 
 Lines hold at most _MAX_LINE bytes: a longer request gets "ERR line-too-long"
 and the connection is closed; a longer reply raises OracleProtocolError.
 
+The server serves at most _MAX_CONNECTIONS connections at once: one more is
+answered "ERR busy" and closed. A connection that sends nothing for
+_IDLE_TIMEOUT_S seconds is closed. STATS counts, over every connection since
+the server started, the requests of each command, the error replies, the
+connections accepted and refused as busy, and the microseconds spent
+answering requests; a request is counted before its reply is sent, so STATS
+covers every request whose reply a client has read, but not itself.
+
 A walk against a RemoteOracle is bit-identical to the same walk against a
 LocalOracle on the same graph: both answer from the same sorted adjacency.
+``RemoteOracle.neighbor`` sends STEP and keeps the degree that comes back,
+so the walk's next ``degree`` call, for the node just reached, needs no
+request: a T-step walk makes T + 1 round trips (one DEG, then T STEPs) for
+the 2T logical queries its report counts.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from __future__ import annotations
 import socket
 import socketserver
 import threading
+import time
 
 from .graph import Graph
 from .walker import GraphOracle
@@ -29,14 +44,23 @@ __all__ = [
     "OracleServer",
     "RemoteOracle",
     "OracleProtocolError",
+    "STATS_FIELDS",
     "serve_oracle",
     "remote_oracle",
 ]
 
 _ENCODING = "ascii"
-# The longest valid request, "NBR" and two 19-digit ids, is 44 bytes with its
-# newline; every valid reply is shorter.
+# The longest valid request, "STEP" and two 19-digit ids, is 45 bytes with its
+# newline. The longest valid reply is STATS: nine counts below 10^12 take at
+# most 117 bytes with their spaces and newline.
 _MAX_LINE = 128
+_MAX_CONNECTIONS = 64
+_IDLE_TIMEOUT_S = 60
+
+# The STATS reply, in order: requests per command, error replies, connections
+# accepted and refused as busy, and the total time spent answering requests.
+_COMMANDS = ("N", "DEG", "NBR", "STEP", "STATS")
+STATS_FIELDS = _COMMANDS + ("errors", "accepted", "busy", "service_us")
 
 
 class OracleProtocolError(RuntimeError):
@@ -65,28 +89,68 @@ def handle_request(g: Graph, line: str) -> str:
             if not 0 <= v < g.n:
                 return "ERR out-of-range"
             return str(int(g.degrees[v]))
-        if cmd == "NBR" and len(parts) == 3:
+        if cmd in ("NBR", "STEP") and len(parts) == 3:
             v, k = int(parts[1]), int(parts[2])
             if not 0 <= v < g.n or not 0 <= k < g.degrees[v]:
                 return "ERR out-of-range"
-            return str(int(g.neighbors[g.offsets[v] + k]))
+            u = int(g.neighbors[g.offsets[v] + k])
+            return str(u) if cmd == "NBR" else f"{u} {int(g.degrees[u])}"
     except ValueError:
         return "ERR malformed-arguments"
     return "ERR unknown-command"
 
 
+class _Stats:
+    """The server's STATS counters, over all connections, under one lock."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(STATS_FIELDS[:-1], 0)
+        self._service_ns = 0
+
+    def count(self, field: str) -> None:
+        with self._lock:
+            self._counts[field] += 1
+
+    def request(self, cmd: str, error: bool, elapsed_ns: int) -> None:
+        with self._lock:
+            if cmd in _COMMANDS:
+                self._counts[cmd] += 1
+            self._counts["errors"] += error
+            self._service_ns += elapsed_ns
+
+    def reply(self) -> str:
+        with self._lock:
+            values = [*self._counts.values(), self._service_ns // 1000]
+        return " ".join(map(str, values))
+
+
 class _Handler(socketserver.StreamRequestHandler):
+    def setup(self):
+        self.timeout = _IDLE_TIMEOUT_S
+        super().setup()
+
     def handle(self):
-        graph = self.server.graph  # type: ignore[attr-defined]
+        graph, stats = self.server.graph, self.server.stats  # type: ignore[attr-defined]
         while True:
-            raw = _read_line(self.rfile)
+            try:
+                raw = _read_line(self.rfile)
+            except TimeoutError:
+                return  # idle too long: close
             if raw is None:
+                stats.count("errors")
                 self.wfile.write(b"ERR line-too-long\n")
                 return
             if not raw:
                 return
+            started = time.perf_counter_ns()
             line = raw.decode(_ENCODING, errors="replace").strip()
-            reply = handle_request(graph, line)
+            cmd = line.split(maxsplit=1)[0].upper() if line else ""
+            if line.upper() == "STATS":
+                reply = stats.reply()
+            else:
+                reply = handle_request(graph, line)
+            stats.request(cmd, reply.startswith("ERR"), time.perf_counter_ns() - started)
             self.wfile.write((reply + "\n").encode(_ENCODING))
 
 
@@ -94,13 +158,42 @@ class _ThreadingServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
+    def __init__(self, address: tuple[str, int], graph: Graph):
+        self.graph = graph
+        self.stats = _Stats()
+        self._slots = threading.BoundedSemaphore(_MAX_CONNECTIONS)
+        super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address):
+        """Serve the connection on its own thread if a slot is free, else
+        answer "ERR busy" and close it."""
+        if not self._slots.acquire(blocking=False):
+            self.stats.count("busy")
+            try:
+                request.sendall(b"ERR busy\n")
+            except OSError:
+                pass  # the client is gone already
+            self.shutdown_request(request)
+            return
+        self.stats.count("accepted")
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
 
 class OracleServer:
     """A running oracle service; use as a context manager or call stop()."""
 
     def __init__(self, g: Graph, address: tuple[str, int] = ("127.0.0.1", 0)):
-        self._server = _ThreadingServer(address, _Handler)
-        self._server.graph = g  # type: ignore[attr-defined]
+        self._server = _ThreadingServer(address, g)
         self._thread = threading.Thread(
             target=self._server.serve_forever, name="oracle-server", daemon=True
         )
@@ -136,6 +229,9 @@ class RemoteOracle(GraphOracle):
     def __init__(self, address: tuple[str, int], timeout: float = 10.0):
         self._sock = socket.create_connection(address, timeout=timeout)
         self._file = self._sock.makefile("rwb")
+        # u and deg(u) from the last STEP reply
+        self._last_u: int | None = None
+        self._last_degree = 0
         try:
             self._n = self._int_reply("N", "node count")
             if self._n < 0:
@@ -168,16 +264,35 @@ class RemoteOracle(GraphOracle):
         return self._n
 
     def degree(self, v: int) -> int:
+        if v == self._last_u:
+            return self._last_degree
         d = self._int_reply(f"DEG {v}", "degree")
         if d < 0:
             raise OracleProtocolError(f"negative degree reply {d} for node {v}")
         return d
 
     def neighbor(self, v: int, k: int) -> int:
-        u = self._int_reply(f"NBR {v} {k}", "neighbor")
+        """The k-th neighbor u of v, by one STEP request that also answers
+        the next ``degree(u)``."""
+        reply = self._exchange(f"STEP {v} {k}")
+        try:
+            u, d = map(int, reply.split())
+        except ValueError:
+            raise OracleProtocolError(f"malformed STEP reply {reply!r}") from None
         if not 0 <= u < self._n:
             raise OracleProtocolError(f"neighbor reply {u} out of range [0, {self._n})")
+        if d < 0:
+            raise OracleProtocolError(f"negative degree reply {d} for node {u}")
+        self._last_u, self._last_degree = u, d
         return u
+
+    def stats(self) -> dict[str, int]:
+        """The server's STATS counters by name (see STATS_FIELDS)."""
+        reply = self._exchange("STATS")
+        values = reply.split()
+        if len(values) != len(STATS_FIELDS) or not all(x.isdigit() for x in values):
+            raise OracleProtocolError(f"malformed STATS reply {reply!r}")
+        return dict(zip(STATS_FIELDS, map(int, values)))
 
     def close(self) -> None:
         try:

@@ -216,17 +216,23 @@ class TestLibraryDefaults:
     def test_experiment_matches_run_synthetic_experiment(
         self, tmp_path, capsys, model, flags, params
     ):
-        out = tmp_path / "cli"
-        assert run_cli(
-            "experiment", "--model", model, "--n", "300", "--seed", "3", *flags,
-            "--walk-seeds", "2", "--out", str(out),
-        ) == 0
-        capsys.readouterr()
-        result = run_synthetic_experiment(model, 300, 3, params=params, walk_seeds=2)
-        write_records_csv(str(tmp_path / "records.csv"), result.config, result.records)
-        write_curve_csv(str(tmp_path / "curve.csv"), result.config, result.curve)
-        for name in ("records.csv", "curve.csv"):
-            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        # once with the walk flags left to the library's defaults, once set
+        for case, walk_flags, walk_kwargs in [
+            ("defaults", (), {}),
+            ("set", ("--walk-seeds", "2", "--thin", "5"), {"walk_seeds": 2, "thin": 5}),
+        ]:
+            out, ref = tmp_path / case / "cli", tmp_path / case / "lib"
+            ref.mkdir(parents=True)
+            assert run_cli(
+                "experiment", "--model", model, "--n", "300", "--seed", "3", *flags,
+                *walk_flags, "--out", str(out),
+            ) == 0
+            capsys.readouterr()
+            result = run_synthetic_experiment(model, 300, 3, params=params, **walk_kwargs)
+            write_records_csv(str(ref / "records.csv"), result.config, result.records)
+            write_curve_csv(str(ref / "curve.csv"), result.config, result.curve)
+            for name in ("records.csv", "curve.csv"):
+                assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 class TestExitCodes:

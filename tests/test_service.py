@@ -2,11 +2,14 @@ import gc
 import socket
 import socketserver
 import threading
+import time
 import warnings
 
 import pytest
 
+from epithresh import service
 from epithresh.service import (
+    STATS_FIELDS,
     OracleProtocolError,
     RemoteOracle,
     handle_request,
@@ -37,30 +40,42 @@ class TestProtocol:
         assert handle_request(graph_with_degree_4_at_3, "NBR 3 0") == "0"
         assert handle_request(graph_with_degree_4_at_3, "NBR 3 3") == "4"
 
+    def test_step(self, graph_with_degree_4_at_3):
+        assert handle_request(graph_with_degree_4_at_3, "STEP 3 0") == "0 2"
+        assert handle_request(graph_with_degree_4_at_3, "step 3 3") == "4 1"
+        assert handle_request(graph_with_degree_4_at_3, "STEP 4 0") == "3 4"
+
     def test_neighbor_out_of_range(self, graph_with_degree_4_at_3):
         assert handle_request(graph_with_degree_4_at_3, "NBR 3 9") == "ERR out-of-range"
         assert handle_request(graph_with_degree_4_at_3, "DEG 99") == "ERR out-of-range"
+        assert handle_request(graph_with_degree_4_at_3, "STEP 3 4") == "ERR out-of-range"
+        assert handle_request(graph_with_degree_4_at_3, "STEP 5 0") == "ERR out-of-range"
 
     def test_malformed(self, graph_with_degree_4_at_3):
         assert handle_request(graph_with_degree_4_at_3, "DEG x").startswith("ERR")
         assert handle_request(graph_with_degree_4_at_3, "").startswith("ERR")
         assert handle_request(graph_with_degree_4_at_3, "PING 1") == "ERR unknown-command"
+        assert handle_request(graph_with_degree_4_at_3, "STEP 3") == "ERR unknown-command"
+        assert handle_request(graph_with_degree_4_at_3, "STEP 3 x") == "ERR malformed-arguments"
 
 
 class _ScriptedServer(socketserver.ThreadingTCPServer):
     """A misbehaving oracle server: "N" gets ``n``, "DEG ..." gets ``degree``
-    and "NBR ..." gets ``neighbor``."""
+    and "STEP ..." gets ``step``. ``requests`` lists the command of every
+    request it answered."""
 
     daemon_threads = True
 
-    def __init__(self, degree: str = "1", neighbor: str = "1", n: str = "4"):
-        self.replies = {b"N": n.encode(), b"DEG": degree.encode(), b"NBR": neighbor.encode()}
+    def __init__(self, degree: str = "1", step: str = "1 1", n: str = "4"):
+        self.replies = {b"N": n.encode(), b"DEG": degree.encode(), b"STEP": step.encode()}
+        self.requests = []
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(handler):
                 for line in handler.rfile:
-                    reply = self.replies.get(line.split()[0], b"ERR unknown")
-                    handler.wfile.write(reply + b"\n")
+                    cmd = line.split()[0]
+                    self.requests.append(cmd.decode())
+                    handler.wfile.write(self.replies.get(cmd, b"ERR unknown") + b"\n")
 
         super().__init__(("127.0.0.1", 0), Handler)
         threading.Thread(target=self.serve_forever, daemon=True).start()
@@ -94,12 +109,19 @@ class TestRemoteOracle:
             with _CountingRemote(server.address) as remote:
                 local_report = random_walk_estimate(local_oracle(g), cfg, trace=True)
                 remote_report = random_walk_estimate(remote, cfg, trace=True)
+                stats = remote.stats()
         assert remote_report.nodes == local_report.nodes
         assert remote_report.estimate == local_report.estimate
         assert remote_report.total_queries == local_report.total_queries
         assert remote_report.distinct_nodes_seen == local_report.distinct_nodes_seen
-        # the report counts every query the walk sent over the wire
-        assert remote.calls == remote_report.total_queries
+        assert remote_report == local_report
+        # the report counts every logical query the walk made, two per step ...
+        steps = remote_report.total_steps
+        assert remote.calls == remote_report.total_queries == 2 * steps
+        # ... and the wire carried the handshake, one DEG and one STEP per step
+        wire = {cmd: stats[cmd] for cmd in ("N", "DEG", "NBR", "STEP", "STATS")}
+        assert wire == {"N": 1, "DEG": 1, "NBR": 0, "STEP": steps, "STATS": 0}
+        assert (stats["errors"], stats["accepted"], stats["busy"]) == (0, 1, 0)
 
     def test_remote_counters(self):
         g = star_graph(6)
@@ -157,22 +179,60 @@ class TestRemoteOracle:
 
     @pytest.mark.parametrize("reply", ["-1", "-99999999999999999999"])
     def test_negative_degree_reply_raises(self, reply):
-        with _ScriptedServer(degree=reply, neighbor="1") as server:
+        with _ScriptedServer(degree=reply) as server:
             with _CountingRemote(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match="negative degree"):
                     remote.degree(0)
                 with pytest.raises(OracleProtocolError, match="negative degree"):
                     random_walk_estimate(remote, WalkConfig(t_star=3, r=2))
                 assert remote.calls == 2
+        # the same degree, carried by a STEP reply
+        with _ScriptedServer(degree="2", step=f"1 {reply}") as server:
+            with _CountingRemote(server.server_address, timeout=5) as remote:
+                message = f"negative degree reply {reply} for node 1"
+                with pytest.raises(OracleProtocolError, match=message):
+                    remote.neighbor(0, 1)
+                with pytest.raises(OracleProtocolError, match="negative degree"):
+                    random_walk_estimate(remote, WalkConfig(t_star=3, r=2))
+                assert remote.calls == 3
+            assert server.requests == ["N", "STEP", "DEG", "STEP"]
 
     @pytest.mark.parametrize("reply", ["-1", "4", "10000000000000"])
     def test_out_of_range_neighbor_reply_raises(self, reply):
-        with _ScriptedServer(degree="2", neighbor=reply) as server:
+        with _ScriptedServer(degree="2", step=f"{reply} 2") as server:
             with remote_oracle(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match=r"out of range \[0, 4\)"):
                     remote.neighbor(0, 1)
                 with pytest.raises(OracleProtocolError, match="out of range"):
                     error_curve(remote, 2.0, 2.0, [1], [3], t_star=0)
+
+    @pytest.mark.parametrize("reply", ["1", "1 2 3", "1 x", "x 2", "1.0 2", ""])
+    def test_malformed_step_reply_raises(self, reply):
+        with _ScriptedServer(degree="2", step=reply) as server:
+            with remote_oracle(server.server_address, timeout=5) as remote:
+                with pytest.raises(OracleProtocolError, match="malformed STEP reply"):
+                    remote.neighbor(0, 1)
+                with pytest.raises(OracleProtocolError, match="malformed STEP reply"):
+                    random_walk_estimate(remote, WalkConfig(t_star=3, r=2))
+
+    @pytest.mark.parametrize("reply", ["1 2", "1 2 3 4 5 6 7 8 x", "1 2 3 4 5 6 7 8 -9"])
+    def test_malformed_stats_reply_raises(self, reply):
+        with _ScriptedServer() as server:
+            server.replies[b"STATS"] = reply.encode()
+            with remote_oracle(server.server_address, timeout=5) as remote:
+                with pytest.raises(OracleProtocolError, match="malformed STATS reply"):
+                    remote.stats()
+
+    def test_degree_of_other_nodes_goes_over_the_wire(self):
+        with _ScriptedServer(degree="7", step="2 3") as server:
+            with remote_oracle(server.server_address, timeout=5) as remote:
+                assert remote.degree(2) == 7  # no STEP yet
+                assert remote.neighbor(0, 0) == 2
+                assert remote.degree(2) == 3  # from the STEP reply
+                assert remote.degree(1) == 7
+                assert remote.degree(0) == 7
+                assert remote.degree(2) == 3
+            assert server.requests == ["N", "DEG", "STEP", "DEG", "DEG"]
 
 
 class TestLineCap:
@@ -195,9 +255,79 @@ class TestLineCap:
             assert reply == b"ERR line-too-long\n"
             with remote_oracle(server.address) as remote:  # still serving
                 assert remote.node_count() == 6
+                assert remote.stats()["errors"] == 1
 
     def test_overlong_reply_raises(self):
-        with _ScriptedServer(degree="1" * 1024, neighbor="1") as server:
+        with _ScriptedServer(degree="1" * 1024) as server:
             with remote_oracle(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match="exceeds 128 bytes"):
                     remote.degree(0)
+
+
+def _connect_when_free(address, wait_s=5.0):
+    """A RemoteOracle on the server, retried while it answers "ERR busy"
+    (a closed connection frees its slot only once its handler thread ends)."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        try:
+            return remote_oracle(address, timeout=5)
+        except OracleProtocolError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.02)
+
+
+class TestServerLimits:
+    """A bounded number of connections, each closed when idle, and STATS."""
+
+    def test_connection_beyond_the_cap_gets_busy(self, monkeypatch):
+        monkeypatch.setattr(service, "_MAX_CONNECTIONS", 2)
+        with serve_oracle(star_graph(6)) as server:
+            with remote_oracle(server.address) as first:
+                with remote_oracle(server.address) as second:
+                    with pytest.raises(OracleProtocolError, match="ERR busy"):
+                        remote_oracle(server.address, timeout=5)
+                    assert first.degree(0) == 5  # the admitted ones are still served
+                    assert second.neighbor(0, 4) == 5
+                with _connect_when_free(server.address) as third:
+                    stats = third.stats()
+        assert stats["busy"] >= 1
+        assert stats["accepted"] == 3
+
+    def test_idle_connection_is_closed_cleanly(self, monkeypatch, capsys):
+        monkeypatch.setattr(service, "_MAX_CONNECTIONS", 1)
+        monkeypatch.setattr(service, "_IDLE_TIMEOUT_S", 0.2)
+        with serve_oracle(star_graph(6)) as server:
+            with socket.create_connection(server.address, timeout=5) as idle:
+                assert idle.recv(64) == b""  # closed by the server, no reply
+            with _connect_when_free(server.address) as remote:  # its slot is free
+                assert remote.degree(0) == 5
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_stats_counts_requests_errors_and_connections(self, monkeypatch):
+        monkeypatch.setattr(service, "_MAX_CONNECTIONS", 1)
+        with serve_oracle(star_graph(6)) as server:
+            with remote_oracle(server.address) as remote:
+                assert remote.degree(0) == 5
+                assert remote.neighbor(0, 1) == 2
+                assert remote.degree(2) == 1  # answered by the STEP reply
+                with pytest.raises(OracleProtocolError, match="out-of-range"):
+                    remote.degree(99)
+                with pytest.raises(OracleProtocolError, match="ERR busy"):
+                    remote_oracle(server.address, timeout=5)
+                first = remote.stats()
+                second = remote.stats()
+        counts = {"N": 1, "DEG": 2, "NBR": 0, "STEP": 1, "STATS": 0,
+                  "errors": 1, "accepted": 1, "busy": 1}
+        assert {k: first[k] for k in counts} == counts
+        assert first["service_us"] > 0
+        assert second["STATS"] == 1
+        assert second["service_us"] >= first["service_us"]
+
+    def test_stats_reply_fits_a_line(self):
+        stats = service._Stats()
+        stats._counts = dict.fromkeys(stats._counts, 10**12 - 1)
+        stats._service_ns = 10**15 - 1
+        reply = stats.reply()
+        assert reply.split() == ["999999999999"] * len(STATS_FIELDS)
+        assert len(reply) + 1 <= service._MAX_LINE
