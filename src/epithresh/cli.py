@@ -101,7 +101,8 @@ def _given(args, names: tuple[str, ...]) -> dict:
 
 def _cmd_generate(args) -> int:
     sampler = chung_lu_sample_naive if args.sampler == "naive" else chung_lu_sample_fast
-    g, params, ed = model_graph(args.model, args.n, args.seed, _given(args, _MODEL_PARAMS), sampler)
+    given = _given(args, _MODEL_PARAMS)
+    g, params, ed = model_graph(args.model, args.n, args.seed, given, sampler)
     sidecar = {"model": args.model, **params, "n": g.n, "m": g.m, "seed": args.seed}
     if ed is not None:
         sidecar.update(
