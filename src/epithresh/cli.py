@@ -41,7 +41,7 @@ from .harness import (
 from .service import remote_oracle, serve_oracle
 from .sir import SirParams, sir_simulate, threshold_sweep
 from .spectral import bipartite_coloring, spectral_gap, spectral_radius
-from .walker import WalkConfig, _default_t_star, local_oracle, random_walk_estimate
+from .walker import DEFAULT_THIN, WalkConfig, _default_t_star, local_oracle, random_walk_estimate
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -185,13 +185,13 @@ def _cmd_bounds(args) -> int:
 def _cmd_walk(args) -> int:
     if (args.infile is None) == (args.remote is None):
         raise ValueError("provide exactly one of --in or --remote")
-    start = args.start
+    r, t_star, plan_note = args.r, args.tstar, None
     if args.remote is not None:
-        if args.r is None:
+        if r is None:
             raise ValueError("--r is required with --remote (no graph to plan from)")
+        # `serve` serves a file's largest component, so ids are component ids
         oracle = remote_oracle(_parse_addr(args.remote))
-        plan_note = None
-        r, t_star = args.r, args.tstar if args.tstar is not None else 0
+        start = args.start
     else:
         g = read_edge_list(args.infile)
         component, mapping = largest_component(g)
@@ -201,23 +201,21 @@ def _cmd_walk(args) -> int:
                 "stationary distribution (the thinned average still converges)",
                 file=sys.stderr,
             )
-        if not 0 <= start < g.n or mapping[start] < 0:
-            raise ValueError(
-                f"start node {start} is not in the walked component "
-                f"({component.n} of {g.n} nodes)"
-            )
-        start = int(mapping[start])
         oracle = local_oracle(component)
-        plan_note = None
-        if args.r is None:
+        start = int(mapping[args.start]) if 0 <= args.start < g.n else -1
+    try:
+        n = oracle.node_count()
+        if not 0 <= start < n:
+            raise ValueError(
+                f"start node {args.start} is not in the walked component ({n} nodes)"
+            )
+        if r is None:
             gap = spectral_gap(component)
             plan = sample_size(degree_stats(component), gap, args.eps, args.delta)
-            r, t_star = plan.r, plan.t_star if args.tstar is None else args.tstar
-            plan_note = asdict(plan)
-        else:
-            r = args.r
-            t_star = args.tstar if args.tstar is not None else _default_t_star(component.n)
-    try:
+            r, plan_note = plan.r, asdict(plan)
+            t_star = plan.t_star if t_star is None else t_star
+        if t_star is None:
+            t_star = _default_t_star(n)
         cfg = WalkConfig(t_star=t_star, r=r, thin=args.thin, seed=args.seed, start=start)
         report = random_walk_estimate(oracle, cfg)
     finally:
@@ -242,7 +240,8 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    g = read_edge_list(args.infile)
+    # the graph `walk --in` walks: the largest component, relabeled
+    g, _ = largest_component(read_edge_list(args.infile))
     host, port = _parse_addr(args.addr)
     server = serve_oracle(g, (host, port))
     bound_host, bound_port = server.address
@@ -383,7 +382,7 @@ def build_parser() -> _Parser:
     p.add_argument("--remote", help="host:port of a served oracle")
     p.add_argument("--r", type=int)
     p.add_argument("--tstar", type=int)
-    p.add_argument("--thin", type=int, default=10)
+    p.add_argument("--thin", type=int, default=DEFAULT_THIN)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.1, help="accuracy for auto-planned r")

@@ -34,7 +34,7 @@ _SUM_CHUNK = 10_000
 
 # read_edge_list reads the file in binary chunks of this many bytes.
 _READ_CHUNK = 1 << 22
-# The most nodes a graph can have: the int64 pair codes lo*n + hi need
+# The most nodes a graph can have: the int64 directed keys src*n + dst need
 # n*n - 1 < 2**63.
 _MAX_NODES = math.isqrt(2**63 - 1)
 # Tokens of at most this many digits fit in int64 and are parsed in bulk;
@@ -147,32 +147,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values: one sort plus a neighbour-inequality mask."""
-    values = np.sort(values)
+    """Sorted distinct values: one in-place sort of ``values`` (every caller
+    passes a temporary) plus a neighbour-inequality mask."""
+    values.sort()
     keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
 
 
-def _from_canonical_pairs(pairs: np.ndarray, n: int) -> Graph:
-    """Assemble CSR arrays from deduplicated (u < v) pairs."""
-    if pairs.size:
-        src = np.concatenate((pairs[:, 0], pairs[:, 1]))
-        dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
-        # one int64 key per directed edge; sorting it orders by (src, dst)
-        neighbors = np.sort(src * np.int64(n) + dst) % n
-        degrees = np.bincount(src, minlength=n).astype(np.int64)
-    else:
-        neighbors = np.empty(0, dtype=np.int64)
-        degrees = np.zeros(n, dtype=np.int64)
+def _csr(n: int, degrees: np.ndarray, neighbors: np.ndarray) -> Graph:
+    """Freeze per-node degrees and row-sorted neighbors into a Graph."""
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
     return Graph(
         n=n,
-        m=int(len(pairs)),
+        m=len(neighbors) // 2,
         offsets=_freeze(offsets),
-        neighbors=_freeze(np.ascontiguousarray(neighbors, dtype=np.int64)),
+        neighbors=_freeze(neighbors),
         degrees=_freeze(degrees),
     )
 
@@ -185,7 +177,8 @@ def build_graph_with_report(
     Input pairs may repeat, appear in either orientation, or be self-loops;
     the result is the simple undirected graph on those edges. Raises
     ValueError for ids outside [0, n), and, before allocating anything, for
-    n above _MAX_NODES.
+    n above _MAX_NODES. One sort of the int64 directed keys ``src*n + dst``
+    both dedupes the edges and orders them into CSR rows.
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got {n}")
@@ -203,16 +196,19 @@ def build_graph_with_report(
         bad = arr[(arr < 0) | (arr >= n)]
         raise ValueError(f"edge endpoint {int(bad.flat[0])} out of range [0, {n})")
 
-    loops = arr[:, 0] == arr[:, 1]
-    self_loops = int(loops.sum())
-    arr = arr[~loops]
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    codes = lo * np.int64(n) + hi
-    unique_codes = _sorted_unique(codes)
-    duplicates = int(len(codes) - len(unique_codes))
-    pairs = np.column_stack((unique_codes // n, unique_codes % n))
-    return _from_canonical_pairs(pairs, n), BuildReport(self_loops, duplicates)
+    # arr may be the caller's array: only the fresh key buffer is written
+    kept = arr[:, 0] != arr[:, 1]
+    k = int(np.count_nonzero(kept))
+    if k < len(arr):
+        arr = arr[kept]
+    keys = np.concatenate((arr[:, 0], arr[:, 1]))
+    keys *= n
+    keys[:k] += arr[:, 1]
+    keys[k:] += arr[:, 0]
+    keys = _sorted_unique(keys)
+    report = BuildReport(len(kept) - k, k - len(keys) // 2)
+    degrees = np.bincount(keys // n, minlength=n)
+    return _csr(n, degrees, np.remainder(keys, n, out=keys)), report
 
 
 def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
@@ -291,21 +287,21 @@ def largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
     Returns the subgraph (node ids relabeled densely, order-preserving) and
     the old-to-new id map (-1 for excluded nodes). Components come from the
     one BFS in :func:`_components`; ties between equal-size components go
-    to the one containing the smallest node id.
+    to the one containing the smallest node id. A connected graph is
+    returned itself (its arrays are frozen); otherwise the kept rows are
+    relabeled through the order-preserving map, so they stay sorted.
     """
     if g.n == 0:
         raise ValueError("cannot extract a component from an empty graph")
     root, _ = _components(g)
     # argmax keeps the smallest root on ties
     keep = root == int(np.argmax(np.bincount(root)))
+    k = int(np.count_nonzero(keep))
     mapping = np.full(g.n, -1, dtype=np.int64)
-    mapping[keep] = np.arange(int(keep.sum()), dtype=np.int64)
-    pairs = g.edge_pairs()
-    if pairs.size:
-        pairs = pairs[keep[pairs[:, 0]]]
-        pairs = np.column_stack((mapping[pairs[:, 0]], mapping[pairs[:, 1]]))
-    sub = _from_canonical_pairs(pairs.reshape(-1, 2), int(keep.sum()))
-    return sub, mapping
+    mapping[keep] = np.arange(k, dtype=np.int64)
+    if k == g.n:
+        return g, mapping
+    return _csr(k, g.degrees[keep], mapping[g.neighbors[np.repeat(keep, g.degrees)]]), mapping
 
 
 def _parse_line(path: str, line_no: int, line: str) -> tuple[tuple[int, int] | None, int]:
@@ -431,12 +427,14 @@ def read_edge_list(path: str) -> Graph:
     "\n", "\r\n" and "\r" all end a line. The file is UTF-8.
 
     The file is read in binary chunks of _READ_CHUNK bytes, each cut after
-    its last line end, so parse memory is one chunk (or the longest line)
-    plus the int64 edge pairs. Plain "u v" lines are parsed in bulk; any
-    other line is parsed on its own, so EdgeListParseError carries the
-    exact line number of the first bad line. An id of _MAX_NODES or more,
-    or a "# n=" count above it, is such an error: no graph that large can
-    be built, so the file is refused before any graph array is allocated.
+    its last line end; plain "u v" lines are parsed in bulk. The chunks'
+    int64 pairs are dropped once joined, and the build adds two directed
+    keys per edge and their deduped copy, so the read peaks near 50 bytes
+    per edge plus one chunk (or the longest line). Any other line is parsed
+    on its own, so EdgeListParseError carries the exact line number of the
+    first bad line. An id of _MAX_NODES or more, or a "# n=" count above
+    it, is such an error: no graph that large can be built, so the file is
+    refused before any graph array is allocated.
     """
     chunks: list[np.ndarray] = []
     declared_n = 0
@@ -448,6 +446,7 @@ def read_edge_list(path: str) -> Graph:
             declared_n = max(declared_n, declared)
             line_base += lines
     pairs = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    chunks.clear()  # the per-chunk arrays need not live through the build
     max_id = int(pairs.max()) if pairs.size else -1
     return build_graph(pairs, max(declared_n, max_id + 1))
 

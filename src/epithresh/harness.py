@@ -30,7 +30,7 @@ from .generators import (
 )
 from .graph import Graph, largest_component
 from .spectral import bipartite_coloring, spectral_radius
-from .walker import CurvePoint, _default_t_star, error_curve, local_oracle
+from .walker import DEFAULT_THIN, CurvePoint, _default_t_star, error_curve, local_oracle
 
 __all__ = [
     "ExperimentConfig",
@@ -61,7 +61,7 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     walk_seeds: tuple[int, ...] = ()
     budget_fractions: tuple[float, ...] = DEFAULT_BUDGET_FRACTIONS
-    thin: int = 10
+    thin: int = DEFAULT_THIN
 
     def comment_lines(self) -> list[str]:
         lines = [f"# experiment={self.experiment}", f"# model={self.model}"]
@@ -258,7 +258,7 @@ def run_synthetic_experiment(
     params: dict | None = None,
     walk_seeds: int | tuple[int, ...] = 10,
     budget_fractions: tuple[float, ...] = DEFAULT_BUDGET_FRACTIONS,
-    thin: int = 10,
+    thin: int = DEFAULT_THIN,
     t_star: int | None = None,
 ) -> ExperimentResult:
     """One synthetic graph, its exact references, and seeded walk error curves.

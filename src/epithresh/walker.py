@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from .graph import Graph
 
 __all__ = [
+    "DEFAULT_THIN",
     "GraphOracle",
     "LocalOracle",
     "WalkConfig",
@@ -187,6 +188,10 @@ def _recording(neighbor: Callable[[int, int], int], append: Callable[[int], None
     return traced
 
 
+# Steps between samples in the experiment protocol and the `walk` command.
+DEFAULT_THIN = 10
+
+
 def _default_t_star(n: int) -> int:
     """Default burn-in for walks on an n-node component: ceil(10 ln n) steps."""
     return math.ceil(10.0 * math.log(n))
@@ -197,8 +202,8 @@ class WalkConfig:
     """Walk parameters: burn-in, sample count, thinning, seed, start node.
 
     ``thin=1`` reproduces the literal consecutive-step estimator; the
-    default experiment protocol samples every 10th step instead of using
-    independent restarts.
+    default experiment protocol samples every ``DEFAULT_THIN``-th step
+    instead of using independent restarts.
     """
 
     t_star: int
@@ -289,7 +294,7 @@ def error_curve(
     seeds: list[int],
     budgets: list[int],
     t_star: int,
-    thin: int = 10,
+    thin: int = DEFAULT_THIN,
     start: int = 0,
     max_steps: int | None = None,
 ) -> list[CurvePoint]:

@@ -1,17 +1,22 @@
 import json
+import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
+import epithresh
 from epithresh.cli import main
-from epithresh.graph import read_edge_list, write_edge_list
+from epithresh.graph import largest_component, read_edge_list, write_edge_list
 from epithresh.harness import (
     model_graph,
     run_synthetic_experiment,
     write_curve_csv,
     write_records_csv,
 )
+from epithresh.walker import _default_t_star
 
 from conftest import random_connected_graph
 
@@ -26,6 +31,21 @@ def edge_file(tmp_path):
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+@contextmanager
+def served(path: str):
+    """Run `epithresh serve --in path` in a subprocess; yield its start-up
+    line and its address as host:port."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epithresh.__file__)))
+    argv = [sys.executable, "-m", "epithresh.cli", "serve", "--in", path]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env) as proc:
+        try:
+            line = proc.stdout.readline()
+            yield line, line.rsplit(" on ", 1)[1].strip()
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=30)
 
 
 class TestGenerate:
@@ -146,6 +166,43 @@ class TestWalkCommand:
         path = tmp_path / "two.txt"
         path.write_text("0 1\n1 2\n2 0\n3 4\n")
         assert run_cli("walk", "--in", str(path), "--r", "5", "--start", "3") == 2
+        assert "not in the walked component" in capsys.readouterr().err
+
+
+class TestDisconnectedFile:
+    """`serve --in F` serves the component that `walk --in F` walks."""
+
+    @pytest.fixture
+    def power_law_file(self, tmp_path):
+        path = str(tmp_path / "pl.txt")
+        assert run_cli(
+            "generate", "--model", "chung-lu", "--n", "2000", "--seed", "7", "--out", path
+        ) == 0
+        return path
+
+    def test_local_and_remote_walks_agree(self, power_law_file, capsys):
+        component, mapping = largest_component(read_edge_list(power_law_file))
+        inside, outside = 16, 15  # node 15 lies in a 2-node fragment
+        assert mapping[inside] != inside and mapping[outside] == -1 < mapping[inside]
+        cases = [("--r", "300", "--tstar", "9", "--seed", "3"), ("--r", "200", "--seed", "8")]
+        remote = []
+        with served(power_law_file) as (line, addr):
+            assert f"n={component.n}, m={component.m} on " in line
+            for flags in cases:
+                start = str(mapping[inside])
+                assert run_cli("walk", "--remote", addr, "--start", start, *flags) == 0
+                remote.append(json.loads(capsys.readouterr().out))
+            for start in (component.n, -1):
+                assert run_cli("walk", "--remote", addr, "--start", str(start), "--r", "5") == 2
+                assert "not in the walked component" in capsys.readouterr().err
+        for flags, got in zip(cases, remote):
+            assert run_cli("walk", "--in", power_law_file, "--start", str(inside), *flags) == 0
+            want = json.loads(capsys.readouterr().out)
+            assert (want.pop("start"), got.pop("start")) == (inside, mapping[inside])
+            assert got == want
+        # without --tstar, both paths burn in for the component's node count
+        assert remote[1]["t_star"] == _default_t_star(component.n)
+        assert run_cli("walk", "--in", power_law_file, "--start", str(outside), "--r", "5") == 2
         assert "not in the walked component" in capsys.readouterr().err
 
 

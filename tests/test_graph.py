@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -61,6 +62,19 @@ class TestBuildGraph:
             for v in nbrs:
                 assert u in g.neighbors_of(int(v))
         assert g.offsets[-1] == 2 * g.m
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[[3, 1], [1, 3], [0, 4]], [[3, 1], [2, 2], [1, 3], [0, 4]]],
+        ids=["no-loops", "loops"],
+    )
+    def test_caller_array_unchanged(self, edges):
+        arr = np.array(edges, dtype=np.int64)
+        for source in (arr, arr[:, ::-1], np.asfortranarray(arr)):
+            before = source.copy()
+            g = build_graph(source, 5)
+            assert np.array_equal(source, before)
+            assert g.edge_pairs().tolist() == [[0, 4], [1, 3]]
 
     def test_idempotent_rebuild(self):
         g = random_graph(30, 0.2, seed=1)
@@ -174,8 +188,20 @@ class TestLargestComponent:
     def test_connected_identity(self):
         g = complete_graph(5)
         sub, mapping = largest_component(g)
-        assert sub.identical(g)
+        assert sub is g  # the frozen input is shared, not copied
         assert mapping.tolist() == list(range(5))
+
+    @pytest.mark.parametrize(
+        "edges, n",
+        [([(0, 1), (1, 2), (2, 0)], 3), ([(4, 1), (1, 2), (2, 4), (0, 3)], 6)],
+        ids=["connected", "disconnected"],
+    )
+    def test_arrays_frozen_contiguous_int64(self, edges, n):
+        g = build_graph(edges, n)
+        for h in (g, largest_component(g)[0]):
+            for arr in (h.offsets, h.neighbors, h.degrees):
+                assert arr.dtype == np.int64
+                assert arr.flags.c_contiguous and not arr.flags.writeable
 
     def test_isolated_excluded(self):
         g = build_graph([(1, 2), (2, 3)], 5)
@@ -358,6 +384,23 @@ class TestChunkedReader:
                 with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
                     g = read_edge_list(path)
                 assert g.identical(build_graph(edges, n))
+
+    def test_peak_memory_per_edge(self, tmp_path, monkeypatch):
+        # ~200k distinct edges; the reader holds the pairs, the directed
+        # keys and the deduped keys, not a second sort's copies
+        rng = np.random.default_rng(5)
+        g = build_graph(rng.integers(0, 20_000, size=(200_000, 2)), 20_000)
+        path = str(tmp_path / "g.txt")
+        write_edge_list(g, path)
+        monkeypatch.setattr(graph_module, "_READ_CHUNK", 1 << 16)
+        tracemalloc.start()
+        try:
+            got = read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.identical(g)
+        assert peak / g.m <= 64
 
     def test_many_chunks_error_line_is_exact(self, tmp_path):
         lines = ["# n=1000"] + [f"{i} {i + 1}" for i in range(999)]
