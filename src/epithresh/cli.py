@@ -123,7 +123,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = read_edge_list(args.infile)
-    result = spectral_radius(g, tol=args.tol, max_iters=args.max_iters, seed=args.seed)
+    solver = dict(seed=args.seed, **_given(args, ("tol", "max_iters")))
+    result = spectral_radius(g, **solver)
     payload = {
         "lambda": result.value,
         "iterations": result.iterations,
@@ -132,7 +133,7 @@ def _cmd_exact(args) -> int:
     }
     if args.gap:
         component, _ = largest_component(g)
-        gap = spectral_gap(component, tol=args.tol, max_iters=args.max_iters, seed=args.seed)
+        gap = spectral_gap(component, **solver)
         payload.update(
             {
                 "lambda2": gap.lambda2,
@@ -283,9 +284,9 @@ def _cmd_sir(args) -> int:
 def _cmd_sweep(args) -> int:
     g = read_edge_list(args.infile)
     ratios = [float(x) for x in args.ratios.split(",")]
-    rows = threshold_sweep(g, ratios, reps=args.reps, seed=args.seed, mu=args.mu)
+    rows = threshold_sweep(g, ratios, reps=args.reps, seed=args.seed, **_given(args, ("mu",)))
     lines = [
-        f"# sweep mu={args.mu} reps={args.reps} seed={args.seed} "
+        f"# sweep mu={rows[0].mu} reps={args.reps} seed={args.seed} "
         f"update=synchronous-snapshot contact=1-(1-beta)^k",
         "ratio,beta,mu,mean_final_fraction,sd_final_fraction,reps",
     ]
@@ -358,8 +359,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("exact", help="exact spectral radius (and optional gap)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--gap", action="store_true", help="also compute the walk spectral gap")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=100_000)
+    p.add_argument("--tol", type=float, help="eigensolver tolerance (default: the library's)")
+    p.add_argument("--max-iters", type=int, help="iteration cap (default: the library's)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_exact)
@@ -409,7 +410,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--ratios", default="0.25,0.5,0.75,1.0,1.5,2.0,3.0,4.0")
     p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--mu", type=float, default=0.2)
+    p.add_argument("--mu", type=float, help="recovery probability (default: the library's)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)

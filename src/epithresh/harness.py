@@ -131,10 +131,6 @@ class ExperimentResult:
     component_n: int
     component_t1: float
     component_lambda: float
-    # Wall-clock timings stay out of the records so output files are
-    # byte-reproducible under a fixed (config, seed).
-    runtime_lambda: float = 0.0
-    runtime_t1: float = 0.0
 
 
 def theta_product_expected_degrees(n: int, seed: int) -> ExpectedDegrees:
@@ -288,12 +284,8 @@ def run_synthetic_experiment(
         thin=thin,
     )
 
-    start = time.perf_counter()
     lam_full = spectral_radius(graph)
-    runtime_lambda = time.perf_counter() - start
-    start = time.perf_counter()
     t1_full = t1_estimate(graph)
-    runtime_t1 = time.perf_counter() - start
 
     component, _ = largest_component(graph)
     if bipartite_coloring(component) is not None:
@@ -373,8 +365,6 @@ def run_synthetic_experiment(
         component_n=component.n,
         component_t1=comp_t1,
         component_lambda=comp_lambda,
-        runtime_lambda=runtime_lambda,
-        runtime_t1=runtime_t1,
     )
 
 

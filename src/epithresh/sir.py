@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,23 +34,19 @@ __all__ = [
     "SirParams",
     "SirTrajectory",
     "SweepRow",
-    "THREADS_ENV_VAR",
     "sir_simulate",
     "threshold_sweep",
     "worker_count",
 ]
 
-THREADS_ENV_VAR = "EPITHRESH_THREADS"
 
-
-def worker_count() -> int:
-    """Replication worker count for the SIR sweep, from the environment
-    (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
+def worker_count(reps: int) -> int:
+    """Replication workers for the SIR sweep: one per CPU this process may
+    run on, and no more than there are replications."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return min(reps, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return min(reps, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -195,33 +192,26 @@ def threshold_sweep(
         for _ in ratios
     ]
 
-    def one_rep(beta: float, start: int, rep_seed: int) -> float:
+    def one_rep(beta: float, draw: tuple[int, int]) -> float:
+        start, rep_seed = draw
         traj = sir_simulate(
             g, SirParams(beta=beta, mu=mu, initial_infected=(start,), seed=rep_seed)
         )
         return traj.final_fraction
 
-    workers = worker_count()
     rows: list[SweepRow] = []
-    for ratio, ratio_draws in zip(ratios, draws):
-        beta = min(1.0, ratio * mu / lam)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fractions = np.array(
-                    list(
-                        pool.map(lambda d: one_rep(beta, d[0], d[1]), ratio_draws)
-                    )
+    with ThreadPoolExecutor(max_workers=worker_count(reps)) as pool:
+        for ratio, ratio_draws in zip(ratios, draws):
+            beta = min(1.0, ratio * mu / lam)
+            fractions = np.array(list(pool.map(partial(one_rep, beta), ratio_draws)))
+            rows.append(
+                SweepRow(
+                    ratio=float(ratio),
+                    beta=float(beta),
+                    mu=float(mu),
+                    mean_final_fraction=float(fractions.mean()),
+                    sd_final_fraction=float(fractions.std(ddof=1)) if reps > 1 else 0.0,
+                    reps=reps,
                 )
-        else:
-            fractions = np.array([one_rep(beta, s, rs) for s, rs in ratio_draws])
-        rows.append(
-            SweepRow(
-                ratio=float(ratio),
-                beta=float(beta),
-                mu=float(mu),
-                mean_final_fraction=float(fractions.mean()),
-                sd_final_fraction=float(fractions.std(ddof=1)) if reps > 1 else 0.0,
-                reps=reps,
             )
-        )
     return rows

@@ -20,7 +20,9 @@ So a walk is a function of (oracle answers, seed, start) alone. A reported
 degree of 0 raises ZeroDegreeNodeError, a negative one ValueError.
 
 One stepping loop, ``_Walk.advance``, serves both ``random_walk_estimate``
-and ``error_curve``, and the walk alone keeps the query accounting: its
+and ``error_curve``, and the walk alone owns the sampling schedule and the
+query accounting. It adds the degree it leaves at steps t_star, t_star +
+thin, ... to its sample sum, so neither estimator does step arithmetic. The
 report's ``total_steps``, ``total_queries`` (two per step) and
 ``distinct_nodes_seen`` are the one tally, and oracles keep no counters. A
 ``LocalOracle`` is stepped through unchecked list accessors, and such a walk
@@ -126,10 +128,11 @@ def local_oracle(g: Graph) -> LocalOracle:
 
 
 class _Walk:
-    """One walk's position, step count and distinct nodes, stepped only by
-    ``advance``."""
+    """One walk's position, step count, distinct nodes and degree samples
+    (taken at steps t_star, t_star + thin, ...), stepped only by ``advance``."""
 
-    def __init__(self, oracle: GraphOracle, seed: int, start: int, path: list[int] | None):
+    def __init__(self, oracle: GraphOracle, seed: int, start: int, path: list[int] | None,
+                 t_star: int, thin: int):
         if type(oracle) is LocalOracle:
             n = oracle.node_count()
             if not 0 <= start < n:
@@ -147,21 +150,28 @@ class _Walk:
         self.steps = 0
         self.visited[start] = 1
         self.count = 1
+        self.next_sample, self.thin = t_star, thin
+        self.acc = self.samples = 0
 
-    def advance(self, k: int, target: int | None = None) -> int:
+    def advance(self, k: int, target: int | None = None) -> None:
         """Take k >= 1 steps, or stop after a step that reaches a new node and
-        brings the distinct-node count to ``target``; returns the degree of
-        the last node left."""
+        brings the distinct-node count to ``target``. A step at a sample step
+        adds the degree it leaves to ``acc`` and counts it in ``samples``."""
         degree, neighbor, getrandbits = self._degree, self._neighbor, self._getrandbits
         visited, x, count = self.visited, self.x, self.count
+        next_sample, thin, acc, samples = self.next_sample, self.thin, self.acc, self.samples
         if target is None:
             target = count + k + 1  # k steps cannot get there
-        for taken in range(1, k + 1):
+        for step in range(self.steps, self.steps + k):
             d = degree(x)
             if d <= 0:
                 if d == 0:
                     raise ZeroDegreeNodeError(x)
                 raise ValueError(f"oracle reported degree {d} for node {x}")
+            if step == next_sample:
+                acc += d
+                samples += 1
+                next_sample += thin
             b = d.bit_length()  # randrange(d), see the draw contract
             r = getrandbits(b)
             while r >= d:
@@ -172,9 +182,8 @@ class _Walk:
                 count += 1
                 if count >= target:
                     break
-        self.x, self.count = x, count
-        self.steps += taken
-        return d
+        self.x, self.count, self.steps = x, count, step + 1
+        self.next_sample, self.acc, self.samples = next_sample, acc, samples
 
 
 def _recording(neighbor: Callable[[int, int], int], append: Callable[[int], None]):
@@ -255,14 +264,11 @@ def random_walk_estimate(
     (start plus one node per step).
     """
     path: list[int] | None = [] if trace else None
-    walk = _Walk(oracle, cfg.seed, cfg.start, path)
-    # the samples are the degrees left at steps t_star, t_star + thin, ...
-    acc = walk.advance(cfg.t_star + 1)
-    for _ in range(cfg.r - 1):
-        acc += walk.advance(cfg.thin)
+    walk = _Walk(oracle, cfg.seed, cfg.start, path, cfg.t_star, cfg.thin)
+    walk.advance(cfg.total_steps)
 
     return WalkReport(
-        estimate=acc / cfg.r,
+        estimate=walk.acc / cfg.r,
         r=cfg.r,
         total_steps=walk.steps,
         total_queries=2 * walk.steps,
@@ -316,34 +322,26 @@ def error_curve(
     cap = max_steps if max_steps is not None else 1000 * oracle.node_count()
     points: list[CurvePoint] = []
     for seed in seeds:
-        acc = 0
-        samples = 0
         pending = iter(budgets)
         next_budget = next(pending)
-        walk = _Walk(oracle, seed, start, None)
+        walk = _Walk(oracle, seed, start, None, t_star, thin)
 
         def snapshot(budget: int) -> CurvePoint:
-            est = acc / samples if samples else float("nan")
+            est = walk.acc / walk.samples if walk.samples else float("nan")
             return CurvePoint(
                 seed=seed,
                 budget=budget,
                 nodes_seen=walk.count,
                 steps=walk.steps,
-                samples=samples,
+                samples=walk.samples,
                 estimate=est,
                 eps_t1=abs(est - t1_reference) / t1_reference,
                 eps_lambda=abs(est - lambda_reference) / lambda_reference,
             )
 
         while next_budget is not None:
-            # Walk to the next sample step (t_star + j*thin), the step cap
-            # or the budget, whichever comes first; take at least one step.
-            steps = walk.steps
-            sample_step = t_star + max(0, -(-(steps - t_star) // thin)) * thin
-            d = walk.advance(max(1, min(sample_step + 1, cap) - steps), next_budget)
-            if walk.steps == sample_step + 1:
-                acc += d
-                samples += 1
+            # to the step cap or the budget, whichever comes first; at least one step
+            walk.advance(max(1, cap - walk.steps), next_budget)
             while next_budget is not None and walk.count >= next_budget:
                 points.append(snapshot(next_budget))
                 next_budget = next(pending, None)

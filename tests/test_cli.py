@@ -16,6 +16,8 @@ from epithresh.harness import (
     write_curve_csv,
     write_records_csv,
 )
+from epithresh.sir import threshold_sweep
+from epithresh.spectral import spectral_gap, spectral_radius
 from epithresh.walker import _default_t_star
 
 from conftest import random_connected_graph
@@ -290,6 +292,32 @@ class TestLibraryDefaults:
             write_curve_csv(str(ref / "curve.csv"), result.config, result.curve)
             for name in ("records.csv", "curve.csv"):
                 assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_exact_gap_matches_the_solvers(self, tmp_path, capsys, model, flags, params):
+        g = model_graph(model, 300, 3, params)[0]
+        write_edge_list(g, str(tmp_path / "g.txt"))
+        assert run_cli("exact", "--in", str(tmp_path / "g.txt"), "--gap") == 0
+        got = json.loads(capsys.readouterr().out)
+        lam, gap = spectral_radius(g), spectral_gap(largest_component(g)[0])
+        assert (got["lambda"], got["iterations"], got["residual"], got["converged"]) == (
+            lam.value, lam.iterations, lam.residual, lam.converged)
+        assert (got["lambda2"], got["gap"], got["gap_iterations"], got["gap_residual"],
+                got["gap_converged"]) == (
+            gap.lambda2, gap.gap, gap.iterations, gap.residual, gap.converged)
+
+    def test_sweep_matches_threshold_sweep(self, tmp_path, capsys, model, flags, params):
+        g = model_graph(model, 300, 3, params)[0]
+        write_edge_list(g, str(tmp_path / "g.txt"))
+        assert run_cli(
+            "sweep", "--in", str(tmp_path / "g.txt"), "--ratios", "0.5,2", "--reps", "3",
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = threshold_sweep(g, [0.5, 2.0], reps=3, seed=0)
+        assert lines[0].startswith(f"# sweep mu={want[0].mu} ")
+        assert [tuple(map(float, line.split(","))) for line in lines[2:]] == [
+            (r.ratio, r.beta, r.mu, r.mean_final_fraction, r.sd_final_fraction, r.reps)
+            for r in want
+        ]
 
 
 class TestExitCodes:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from epithresh.generators import chung_lu_sample_fast, uniform_expected_degrees
 from epithresh.graph import build_graph, largest_component
-from epithresh.sir import SirParams, sir_simulate, threshold_sweep
+from epithresh.sir import SirParams, sir_simulate, threshold_sweep, worker_count
 from epithresh.spectral import spectral_radius
 
 from conftest import path_graph, random_connected_graph
@@ -147,8 +149,20 @@ class TestThresholdSweep:
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         g = random_connected_graph(150, seed=4, extra_edges=120)
-        monkeypatch.delenv("EPITHRESH_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_count(8) == 1
         sequential = threshold_sweep(g, [0.5, 2.0], reps=8, seed=5)
-        monkeypatch.setenv("EPITHRESH_THREADS", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert worker_count(8) == 3
         threaded = threshold_sweep(g, [0.5, 2.0], reps=8, seed=5)
         assert sequential == threaded
+
+    def test_worker_count_is_cpus_capped_by_reps(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert [worker_count(reps) for reps in (1, 3, 4, 50)] == [1, 3, 4, 4]
+        # without sched_getaffinity, the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert worker_count(50) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(50) == 1

@@ -293,6 +293,15 @@ class TestWalkKernel:
         assert got_stuck == want_stuck
         if want is not None:
             _same_points(got, want)
+        # the per-query path: the same points and the same queries, in order
+        checked, logged = _CheckedOracle(g), _CheckedOracle(g)
+        (queried, queried_stuck) = _outcome(
+            lambda: error_curve(checked, 2.0, 3.0, seeds, budgets, **kwargs))
+        _outcome(lambda: step_loop_error_curve(lambda: logged, 2.0, 3.0, seeds, budgets, **kwargs))
+        assert queried_stuck == want_stuck
+        assert checked.log == logged.log
+        if want is not None:
+            _same_points(queried, want)
 
     @pytest.mark.parametrize(
         "cfg",
