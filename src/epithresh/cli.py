@@ -40,8 +40,9 @@ from .harness import (
 )
 from .service import remote_oracle, serve_oracle
 from .sir import SirParams, sir_simulate, threshold_sweep
-from .spectral import bipartite_coloring, spectral_gap, spectral_radius
-from .walker import DEFAULT_THIN, WalkConfig, _default_t_star, local_oracle, random_walk_estimate
+from .spectral import spectral_gap, spectral_radius
+from .walker import (DEFAULT_THIN, WalkConfig, _default_t_star, _walked_component, local_oracle,
+                     random_walk_estimate)
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -123,7 +124,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = read_edge_list(args.infile)
-    solver = dict(seed=args.seed, **_given(args, ("tol", "max_iters")))
+    solver = _given(args, ("seed", "tol", "max_iters"))
     result = spectral_radius(g, **solver)
     payload = {
         "lambda": result.value,
@@ -195,13 +196,7 @@ def _cmd_walk(args) -> int:
         start = args.start
     else:
         g = read_edge_list(args.infile)
-        component, mapping = largest_component(g)
-        if bipartite_coloring(component) is not None:
-            print(
-                "warning: graph is bipartite; burn-in cannot reach the "
-                "stationary distribution (the thinned average still converges)",
-                file=sys.stderr,
-            )
+        component, mapping = _walked_component(g, args.thin)
         oracle = local_oracle(component)
         start = int(mapping[args.start]) if 0 <= args.start < g.n else -1
     try:
@@ -361,7 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gap", action="store_true", help="also compute the walk spectral gap")
     p.add_argument("--tol", type=float, help="eigensolver tolerance (default: the library's)")
     p.add_argument("--max-iters", type=int, help="iteration cap (default: the library's)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="solver start-vector seed (default: the library's)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_exact)
 

@@ -33,7 +33,7 @@ __all__ = [
 _SUM_CHUNK = 10_000
 
 # read_edge_list reads the file in binary chunks of this many bytes.
-_READ_CHUNK = 1 << 22
+_READ_CHUNK = 1 << 20
 # The most nodes a graph can have: the int64 directed keys src*n + dst need
 # n*n - 1 < 2**63.
 _MAX_NODES = math.isqrt(2**63 - 1)
@@ -426,11 +426,11 @@ def read_edge_list(path: str) -> Graph:
     with trailing isolated nodes round-trip. Blank lines are skipped, and
     "\n", "\r\n" and "\r" all end a line. The file is UTF-8.
 
-    The file is read in binary chunks of _READ_CHUNK bytes, each cut after
+    The file is read in 1 MiB binary chunks (_READ_CHUNK), each cut after
     its last line end; plain "u v" lines are parsed in bulk. The chunks'
     int64 pairs are dropped once joined, and the build adds two directed
     keys per edge and their deduped copy, so the read peaks near 50 bytes
-    per edge plus one chunk (or the longest line). Any other line is parsed
+    per edge plus one chunk's parse (or the longest line's). Any other line is parsed
     on its own, so EdgeListParseError carries the exact line number of the
     first bad line. An id of _MAX_NODES or more, or a "# n=" count above
     it, is such an error: no graph that large can be built, so the file is

@@ -13,7 +13,6 @@ import csv
 import math
 import os
 import time
-import warnings
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -28,9 +27,10 @@ from .generators import (
     preferential_attachment,
     uniform_expected_degrees,
 )
-from .graph import Graph, largest_component
-from .spectral import bipartite_coloring, spectral_radius
-from .walker import DEFAULT_THIN, CurvePoint, _default_t_star, error_curve, local_oracle
+from .graph import Graph
+from .spectral import spectral_radius
+from .walker import (DEFAULT_THIN, CurvePoint, _default_t_star, _walked_component, error_curve,
+                     local_oracle)
 
 __all__ = [
     "ExperimentConfig",
@@ -265,7 +265,7 @@ def run_synthetic_experiment(
     the error curves are measured against. Budgets are fractions of the
     component's node count; walks sample every ``thin``-th step after
     ``t_star`` burn-in steps, by default the walker's burn-in for the
-    component's node count.
+    component's node count. An even ``thin`` on a bipartite component is refused.
     """
     if isinstance(walk_seeds, int):
         master = np.random.default_rng(seed)
@@ -273,6 +273,7 @@ def run_synthetic_experiment(
     else:
         seeds = tuple(walk_seeds)
     graph, used_params, _ = model_graph(model, n, seed, params or {})
+    component, _ = _walked_component(graph, thin)
     config = ExperimentConfig(
         experiment="error-curve",
         model=model,
@@ -287,14 +288,6 @@ def run_synthetic_experiment(
     lam_full = spectral_radius(graph)
     t1_full = t1_estimate(graph)
 
-    component, _ = largest_component(graph)
-    if bipartite_coloring(component) is not None:
-        warnings.warn(
-            "walked component is bipartite: burn-in cannot reach the "
-            "stationary distribution, only the thinned time-average converges",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     comp_t1 = t1_estimate(component).t1
     comp_lambda = spectral_radius(component).value
     burn_in = t_star if t_star is not None else _default_t_star(component.n)

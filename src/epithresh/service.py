@@ -193,6 +193,8 @@ class OracleServer:
     """A running oracle service; use as a context manager or call stop()."""
 
     def __init__(self, g: Graph, address: tuple[str, int] = ("127.0.0.1", 0)):
+        if g.m == 0:
+            raise ValueError("oracle requires a graph with at least one edge")
         self._server = _ThreadingServer(address, g)
         self._thread = threading.Thread(
             target=self._server.serve_forever, name="oracle-server", daemon=True
@@ -218,8 +220,6 @@ class OracleServer:
 
 def serve_oracle(g: Graph, address: tuple[str, int] = ("127.0.0.1", 0)) -> OracleServer:
     """Start serving a graph's oracle on the given bind address."""
-    if g.m == 0:
-        raise ValueError("oracle requires a graph with at least one edge")
     return OracleServer(g, address)
 
 

@@ -53,7 +53,7 @@ class DisconnectedGraphError(ValueError):
 class BipartiteGraphError(ValueError):
     """Raised for walks that cannot mix; carries the detected 2-coloring."""
 
-    def __init__(self, coloring: np.ndarray):
+    def __init__(self, coloring: np.ndarray, reason: str = "the walk distribution never converges"):
         self.coloring = coloring
         side_a = int((coloring == 0).sum())
         side_b = int((coloring == 1).sum())
@@ -61,7 +61,7 @@ class BipartiteGraphError(ValueError):
         sample_b = np.flatnonzero(coloring == 1)[:5].tolist()
         super().__init__(
             f"graph is bipartite with parts of size {side_a} and {side_b} "
-            f"(e.g. {sample_a} vs {sample_b}); the walk distribution never converges"
+            f"(e.g. {sample_a} vs {sample_b}); {reason}"
         )
 
 

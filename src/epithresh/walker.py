@@ -42,7 +42,8 @@ from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, largest_component
+from .spectral import BipartiteGraphError, bipartite_coloring
 
 __all__ = [
     "DEFAULT_THIN",
@@ -206,6 +207,24 @@ def _default_t_star(n: int) -> int:
     return math.ceil(10.0 * math.log(n))
 
 
+def _walked_component(g: Graph, thin: int):
+    """``largest_component(g)``, refused if it is bipartite and ``thin`` is even."""
+    component, mapping = largest_component(g)
+    if thin % 2 == 0 and (coloring := bipartite_coloring(component)) is not None:
+        raise BipartiteGraphError(
+            coloring, f"an even thin={thin} samples one side only; an odd thin converges"
+        )
+    return component, mapping
+
+
+def _check_schedule(t_star: int, thin: int) -> None:
+    """Refuse a negative burn-in or a thinning below 1."""
+    if t_star < 0:
+        raise ValueError("burn-in must be nonnegative")
+    if thin < 1:
+        raise ValueError("thinning must be at least 1")
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """Walk parameters: burn-in, sample count, thinning, seed, start node.
@@ -222,12 +241,9 @@ class WalkConfig:
     start: int = 0
 
     def __post_init__(self):
-        if self.t_star < 0:
-            raise ValueError("burn-in must be nonnegative")
         if self.r < 1:
             raise ValueError("need at least one sample")
-        if self.thin < 1:
-            raise ValueError("thinning must be at least 1")
+        _check_schedule(self.t_star, self.thin)
 
     @property
     def total_steps(self) -> int:
@@ -318,6 +334,7 @@ def error_curve(
         raise ValueError("need at least one walk seed")
     if not budgets or any(b <= 0 for b in budgets):
         raise ValueError("budgets must be positive node counts")
+    _check_schedule(t_star, thin)
     budgets = sorted(budgets)
     cap = max_steps if max_steps is not None else 1000 * oracle.node_count()
     points: list[CurvePoint] = []

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import pytest
 
 import epithresh
+from epithresh import cli
 from epithresh.cli import main
 from epithresh.graph import largest_component, read_edge_list, write_edge_list
 from epithresh.harness import (
@@ -106,8 +107,6 @@ class TestExactAndEstimate:
         "argv", [("bounds", "--eps", "0.2", "--delta", "0.1"), ("walk",)], ids=["bounds", "walk"]
     )
     def test_truncated_gap_is_refused(self, edge_file, capsys, monkeypatch, argv):
-        from epithresh import cli
-
         real = cli.spectral_gap
         monkeypatch.setattr(cli, "spectral_gap", lambda g: real(g, max_iters=3))
         assert run_cli(argv[0], "--in", edge_file, *argv[1:]) == 2
@@ -135,7 +134,6 @@ class TestWalkCommand:
         assert run_cli("walk", "--r", "5") == 2
 
     def test_walk_remote_matches_local(self, edge_file, capsys, monkeypatch):
-        from epithresh import cli
         from epithresh.service import remote_oracle, serve_oracle
 
         opened = []
@@ -169,6 +167,20 @@ class TestWalkCommand:
         path.write_text("0 1\n1 2\n2 0\n3 4\n")
         assert run_cli("walk", "--in", str(path), "--r", "5", "--start", "3") == 2
         assert "not in the walked component" in capsys.readouterr().err
+
+
+    def test_walk_refuses_even_thin_on_a_bipartite_component(self, tmp_path, capsys):
+        # the star K_{1,5}: m2/m1 = 30/10 = 3, but an even thin samples only
+        # the center (or only the leaves), which printed t2 = 5.0
+        path = tmp_path / "star.txt"
+        path.write_text("".join(f"0 {leaf}\n" for leaf in range(1, 6)))
+        assert run_cli("walk", "--in", str(path), "--r", "1000") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "size 1 and 5" in err and "thin=10" in err and "odd thin converges" in err
+        assert run_cli("walk", "--in", str(path), "--r", "1000", "--thin", "9") == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["t2"] == 3.0 and err == ""
 
 
 class TestDisconnectedFile:
@@ -318,6 +330,23 @@ class TestLibraryDefaults:
             (r.ratio, r.beta, r.mu, r.mean_final_fraction, r.sd_final_fraction, r.reps)
             for r in want
         ]
+
+
+# Every flag whose default the library owns, by subcommand; each must parse
+# to None when absent, so that `_given` leaves it to the library.
+LIBRARY_OWNED_FLAGS = {
+    "generate": (["--model", "pa", "--n", "9", "--out", "g.txt"], cli._MODEL_PARAMS),
+    "exact": (["--in", "g.txt"], ("seed", "tol", "max_iters")),
+    "sweep": (["--in", "g.txt"], ("mu",)),
+    "experiment": (["--model", "pa", "--n", "9"], ("walk_seeds", "thin", *cli._MODEL_PARAMS)),
+}
+
+
+@pytest.mark.parametrize("command", list(LIBRARY_OWNED_FLAGS))
+def test_library_owned_flags_parse_to_none(command):
+    argv, names = LIBRARY_OWNED_FLAGS[command]
+    args = cli.build_parser().parse_args([command, *argv])
+    assert {name: getattr(args, name) for name in names} == dict.fromkeys(names)
 
 
 class TestExitCodes:

@@ -385,14 +385,19 @@ class TestChunkedReader:
                     g = read_edge_list(path)
                 assert g.identical(build_graph(edges, n))
 
-    def test_peak_memory_per_edge(self, tmp_path, monkeypatch):
-        # ~200k distinct edges; the reader holds the pairs, the directed
-        # keys and the deduped keys, not a second sort's copies
+    @pytest.mark.parametrize("chunk", [1 << 16, None], ids=["64KiB", "default"])
+    def test_peak_memory_per_edge(self, tmp_path, monkeypatch, chunk):
+        # ~400k distinct edges in a file of over 4 MB, read in 64 KiB chunks
+        # and in the default ones; the reader holds the pairs, the directed
+        # keys and the deduped keys and one chunk's parse, not a second sort's
+        # copies
         rng = np.random.default_rng(5)
-        g = build_graph(rng.integers(0, 20_000, size=(200_000, 2)), 20_000)
+        g = build_graph(rng.integers(0, 20_000, size=(400_000, 2)), 20_000)
         path = str(tmp_path / "g.txt")
         write_edge_list(g, path)
-        monkeypatch.setattr(graph_module, "_READ_CHUNK", 1 << 16)
+        assert os.path.getsize(path) >= 4_000_000
+        if chunk is not None:
+            monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
         tracemalloc.start()
         try:
             got = read_edge_list(path)

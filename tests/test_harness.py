@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,19 +145,17 @@ class TestSyntheticExperiment:
         with pytest.raises(ValueError, match="unknown model"):
             run_synthetic_experiment("erdos", 100, seed=0)
 
-    def test_bipartite_component_warns(self, monkeypatch):
-        # force a bipartite generated graph through the pa path: a 2-node
-        # chung-lu with forced edge is the simplest bipartite component
-        from epithresh.graph import build_graph
-
-        monkeypatch.setattr(
-            "epithresh.harness.model_graph",
-            lambda model, n, seed, params: (build_graph([(0, 1), (1, 2)], 3), {}, None),
-        )
-        with pytest.warns(RuntimeWarning, match="bipartite"):
-            run_synthetic_experiment(
-                "pa", 3, seed=0, walk_seeds=1, budget_fractions=(1.0,), t_star=2
-            )
+    def test_bipartite_component_refused_at_even_thin(self):
+        # a preferential-attachment tree is bipartite: with an even thin every
+        # sample falls on one side, so the run is refused before any walk
+        tree = dict(params={"edges_per_node": 1}, walk_seeds=1, budget_fractions=(1.0,))
+        with pytest.raises(ValueError, match=r"bipartite .* thin=10 .* an odd thin converges"):
+            run_synthetic_experiment("pa", 200, seed=1, thin=10, **tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_synthetic_experiment("pa", 200, seed=1, thin=9, **tree)
+        assert result.component_n == 200 and result.config.thin == 9
+        assert result.curve[0].seeds_used == 1
 
 
 class TestFiftyThousandNodeInstances:

@@ -280,6 +280,17 @@ def _connect_when_free(address, wait_s=5.0):
 class TestServerLimits:
     """A bounded number of connections, each closed when idle, and STATS."""
 
+    @pytest.mark.parametrize(
+        "start", [service.OracleServer, serve_oracle], ids=["OracleServer", "serve_oracle"]
+    )
+    def test_edgeless_graph_is_refused(self, start):
+        from epithresh.graph import build_graph
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="at least one edge"):
+            start(build_graph([], 3))
+        assert threading.active_count() == threads  # no server thread was left
+
     def test_connection_beyond_the_cap_gets_busy(self, monkeypatch):
         monkeypatch.setattr(service, "_MAX_CONNECTIONS", 2)
         with serve_oracle(star_graph(6)) as server:

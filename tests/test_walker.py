@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from epithresh.estimators import sample_size, t1_estimate
 from epithresh.generators import chung_lu_sample_fast, uniform_expected_degrees
 from epithresh.graph import build_graph, degree_stats, largest_component
-from epithresh.spectral import spectral_gap
+from epithresh.harness import model_graph
+from epithresh.spectral import BipartiteGraphError, spectral_gap
 from epithresh.walker import (
     GraphOracle,
     LocalOracle,
     WalkConfig,
     ZeroDegreeNodeError,
+    _walked_component,
     error_curve,
     local_oracle,
     random_walk_estimate,
@@ -187,6 +189,61 @@ class TestErrorCurve:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             error_curve(local_oracle(cycle_graph(3)), 1.0, 1.0, [], [1], t_star=0)
+
+    @pytest.mark.parametrize(
+        "t_star,thin,message",
+        [(0, 0, "thinning must be at least 1"), (-4, 10, "burn-in must be nonnegative")],
+    )
+    def test_schedule_refused_like_walk_config(self, t_star, thin, message):
+        oracle = local_oracle(random_connected_graph(60, seed=2, extra_edges=40))
+        with pytest.raises(ValueError, match=message):
+            WalkConfig(t_star=t_star, r=1, thin=thin)
+        with pytest.raises(ValueError, match=message):
+            error_curve(oracle, 1.0, 1.0, [1], [10, 60], t_star=t_star, thin=thin)
+
+
+# Bipartite components: every step changes side, so an even thin samples one side.
+BIPARTITE = {
+    "star": (star_graph(6), (1, 5)),
+    "cycle8+pendants": (
+        build_graph([(i, (i + 1) % 8) for i in range(8)] + [(0, 8), (8, 9), (0, 10)], 11),
+        (5, 6),
+    ),
+    "pa-tree": (model_graph("pa", 200, 1, {"edges_per_node": 1})[0], None),
+}
+
+
+class TestWalkedComponent:
+    @pytest.mark.parametrize("name", list(BIPARTITE))
+    def test_even_thin_on_a_bipartite_component_is_refused(self, name):
+        g, sides = BIPARTITE[name]
+        with pytest.raises(BipartiteGraphError) as info:
+            _walked_component(g, 10)
+        side_a, side_b = np.bincount(info.value.coloring)
+        assert sides is None or (side_a, side_b) == sides
+        message = str(info.value)
+        assert f"size {side_a} and {side_b}" in message
+        assert "thin=10" in message and "an odd thin converges" in message
+
+    @pytest.mark.parametrize("name", list(BIPARTITE))
+    def test_odd_thin_walks_the_largest_component(self, name):
+        g = BIPARTITE[name][0]
+        component, mapping = _walked_component(g, 9)
+        want, want_mapping = largest_component(g)
+        assert component.identical(want) and mapping.tolist() == want_mapping.tolist()
+
+    def test_odd_thin_converges_on_the_star(self):
+        # samples alternate center (degree 5) and leaf (1): the mean is m2/m1 = 3
+        component, _ = _walked_component(BIPARTITE["star"][0], 9)
+        report = random_walk_estimate(local_oracle(component), WalkConfig(18, 1000, thin=9))
+        assert report.estimate == 3.0
+
+    def test_even_thin_off_a_bipartite_component_is_allowed(self):
+        # a triangle plus a separate edge: the walked component is the triangle
+        g = build_graph([(0, 1), (1, 2), (2, 0), (3, 4)], 5)
+        component, mapping = _walked_component(g, 10)
+        assert component.identical(largest_component(g)[0])
+        assert mapping.tolist() == [0, 1, 2, -1, -1]
 
 
 class _CheckedOracle(LocalOracle):
