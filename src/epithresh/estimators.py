@@ -148,16 +148,14 @@ def sample_size(
     gap: SpectralGap | float,
     eps: float,
     delta: float,
-    t_star: int | None = None,
 ) -> SampleSizePlan:
     """Walk-sample count for a (1 +/- eps) moment-ratio estimate at confidence 1 - delta.
 
     r = ceil( (1 / (gap eps^{3/2})) * (6 m1 d_max / m2) * ln(1/delta) ),
-    evaluated on the observed degree sums. The default burn-in is
-    ceil(ln n), matching the query count gap-bounded expected-degree graphs
-    admit; pass ``t_star`` to override. A :class:`SpectralGap` whose solve
-    did not converge is refused: a truncated gap would size the walk from
-    an uncertified number.
+    evaluated on the observed degree sums. The burn-in is ceil(ln n),
+    matching the query count gap-bounded expected-degree graphs admit. A
+    :class:`SpectralGap` whose solve did not converge is refused: a
+    truncated gap would size the walk from an uncertified number.
     """
     if isinstance(gap, SpectralGap):
         if not gap.converged:
@@ -178,10 +176,6 @@ def sample_size(
         raise ValueError("sample size undefined on an edgeless graph")
     factor = 6.0 * stats.m1 * stats.d_max / stats.m2
     r = math.ceil(factor * math.log(1.0 / delta) / (gap_value * eps**1.5))
-    if t_star is None:
-        t_star = math.ceil(math.log(stats.n)) if stats.n > 1 else 0
-    if t_star < 0:
-        raise ValueError("burn-in must be nonnegative")
     return SampleSizePlan(
-        r=max(1, r), t_star=t_star, eps=eps, delta=delta, gap=gap_value
+        r=max(1, r), t_star=math.ceil(math.log(stats.n)), eps=eps, delta=delta, gap=gap_value
     )

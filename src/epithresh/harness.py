@@ -252,26 +252,23 @@ def run_synthetic_experiment(
     n: int,
     seed: int,
     params: dict | None = None,
-    walk_seeds: int | tuple[int, ...] = 10,
+    walk_seeds: int = 10,
     budget_fractions: tuple[float, ...] = DEFAULT_BUDGET_FRACTIONS,
     thin: int = DEFAULT_THIN,
-    t_star: int | None = None,
 ) -> ExperimentResult:
     """One synthetic graph, its exact references, and seeded walk error curves.
 
-    The graph is generated once; the spectral radius and moment ratio are
-    computed on the full graph (the headline record) and again on the
-    largest component, which is what the walks can actually reach and what
-    the error curves are measured against. Budgets are fractions of the
-    component's node count; walks sample every ``thin``-th step after
-    ``t_star`` burn-in steps, by default the walker's burn-in for the
-    component's node count. An even ``thin`` on a bipartite component is refused.
+    The graph's spectral radius and moment ratio make the headline record;
+    the error curves are measured against those of its largest component,
+    which the walks can reach, solved again only when it is not the whole
+    graph. ``walk_seeds`` walk seeds are drawn from ``seed``. Budgets are
+    fractions of the component's node count, and walks burn in
+    ``_default_t_star`` steps for it, then sample every ``thin``-th step.
+    A ``thin`` below 1, or an even one on a bipartite component, is refused
+    before any eigen solve.
     """
-    if isinstance(walk_seeds, int):
-        master = np.random.default_rng(seed)
-        seeds = tuple(int(master.integers(2**63 - 1)) for _ in range(walk_seeds))
-    else:
-        seeds = tuple(walk_seeds)
+    master = np.random.default_rng(seed)
+    seeds = tuple(int(master.integers(2**63 - 1)) for _ in range(walk_seeds))
     graph, used_params, _ = model_graph(model, n, seed, params or {})
     component, _ = _walked_component(graph, thin)
     config = ExperimentConfig(
@@ -285,12 +282,12 @@ def run_synthetic_experiment(
         thin=thin,
     )
 
-    lam_full = spectral_radius(graph)
-    t1_full = t1_estimate(graph)
-
-    comp_t1 = t1_estimate(component).t1
-    comp_lambda = spectral_radius(component).value
-    burn_in = t_star if t_star is not None else _default_t_star(component.n)
+    lam_full = spectral_radius(graph).value
+    t1_full = t1_estimate(graph).t1
+    if component is graph:
+        comp_lambda, comp_t1 = lam_full, t1_full
+    else:
+        comp_lambda, comp_t1 = spectral_radius(component).value, t1_estimate(component).t1
     frac_of: dict[int, float] = {}
     for f in sorted(budget_fractions):  # the smallest fraction names a shared budget
         frac_of.setdefault(max(1, math.ceil(f * component.n)), f)
@@ -302,36 +299,35 @@ def run_synthetic_experiment(
         lambda_reference=comp_lambda,
         seeds=list(seeds),
         budgets=budgets,
-        t_star=burn_in,
+        t_star=_default_t_star(component.n),
         thin=thin,
     )
 
-    records: list[ExperimentRecord] = []
-    final_budget = budgets[-1]
-    for walk_seed in seeds:
-        final = [p for p in points if p.seed == walk_seed and p.budget == final_budget]
-        last = final[-1]
-        records.append(
-            ExperimentRecord(
-                seed=walk_seed,
-                n=graph.n,
-                m=graph.m,
-                lambda_a=lam_full.value,
-                t1=t1_full.t1,
-                t2=last.estimate,
-                e1=relative_error(t1_full.t1, lam_full.value),
-                eps_t1_t2=last.eps_t1,
-                eps_lambda_t2=last.eps_lambda,
-                nodes_seen=last.nodes_seen,
-                runtime_lambda=None,
-                runtime_t1=None,
-                runtime_t2=None,
-            )
+    # error_curve lists each seed's points in budget order, seed by seed
+    width = len(budgets)
+    e1 = relative_error(t1_full, lam_full)
+    records = [
+        ExperimentRecord(
+            seed=last.seed,
+            n=graph.n,
+            m=graph.m,
+            lambda_a=lam_full,
+            t1=t1_full,
+            t2=last.estimate,
+            e1=e1,
+            eps_t1_t2=last.eps_t1,
+            eps_lambda_t2=last.eps_lambda,
+            nodes_seen=last.nodes_seen,
+            runtime_lambda=None,
+            runtime_t1=None,
+            runtime_t2=None,
         )
+        for last in points[width - 1::width]
+    ]
 
     curve: list[CurveSummary] = []
-    for budget in budgets:
-        at_budget = [p for p in points if p.budget == budget]
+    for i, budget in enumerate(budgets):
+        at_budget = points[i::width]
         valid = [p for p in at_budget if not math.isnan(p.estimate)]
         curve.append(
             CurveSummary(
@@ -353,8 +349,8 @@ def run_synthetic_experiment(
         records=records,
         curve_points=points,
         curve=curve,
-        lambda_a=lam_full.value,
-        t1=t1_full.t1,
+        lambda_a=lam_full,
+        t1=t1_full,
         component_n=component.n,
         component_t1=comp_t1,
         component_lambda=comp_lambda,

@@ -93,9 +93,9 @@ class SpectralGap:
 
     lambda2: float
     gap: float
-    iterations: int = 0
-    residual: float = 0.0
-    converged: bool = True
+    iterations: int
+    residual: float
+    converged: bool
 
 
 def adjacency_matvec(g: Graph, x: np.ndarray) -> np.ndarray:

@@ -208,7 +208,9 @@ def _default_t_star(n: int) -> int:
 
 
 def _walked_component(g: Graph, thin: int):
-    """``largest_component(g)``, refused if it is bipartite and ``thin`` is even."""
+    """``largest_component(g)``, refused if it is bipartite and ``thin`` is
+    even; a ``thin`` below 1 is refused before the graph is looked at."""
+    _check_schedule(0, thin)
     component, mapping = largest_component(g)
     if thin % 2 == 0 and (coloring := bipartite_coloring(component)) is not None:
         raise BipartiteGraphError(
@@ -329,6 +331,11 @@ def error_curve(
     ``max_steps`` steps (default 1000 * node count); if that cap is hit
     before the last budget, the remaining budgets are reported with the
     walk's final state.
+
+    Output order: one point per entry of ``sorted(budgets)`` for each seed,
+    seed by seed in the order given, each seed's points in ascending budget.
+    So with B budgets, ``points[i::B]`` holds every seed's point at the i-th
+    smallest budget.
     """
     if not seeds:
         raise ValueError("need at least one walk seed")

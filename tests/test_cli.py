@@ -182,6 +182,13 @@ class TestWalkCommand:
         out, err = capsys.readouterr()
         assert json.loads(out)["t2"] == 3.0 and err == ""
 
+    def test_walk_refuses_thin_zero_before_the_bipartite_check(self, tmp_path, capsys):
+        path = tmp_path / "star.txt"
+        path.write_text("".join(f"0 {leaf}\n" for leaf in range(1, 6)))
+        assert run_cli("walk", "--in", str(path), "--r", "10", "--thin", "0") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "thinning must be at least 1" in err and "bipartite" not in err
+
 
 class TestDisconnectedFile:
     """`serve --in F` serves the component that `walk --in F` walks."""

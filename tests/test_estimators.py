@@ -190,7 +190,8 @@ class TestSampleSize:
 
     def test_accepts_spectral_gap_object(self):
         stats = degree_stats(cycle_graph(10))
-        plan = sample_size(stats, SpectralGap(lambda2=0.0, gap=1.0), 1.0, 1 / math.e)
+        gap = SpectralGap(lambda2=0.0, gap=1.0, iterations=3, residual=0.0, converged=True)
+        plan = sample_size(stats, gap, 1.0, 1 / math.e)
         assert plan.r == 6
 
     def test_refuses_unconverged_gap(self):
@@ -205,8 +206,6 @@ class TestSampleSize:
         stats = degree_stats(cycle_graph(50))
         plan = sample_size(stats, gap=0.5, eps=0.5, delta=0.1)
         assert plan.t_star == math.ceil(math.log(50))
-        override = sample_size(stats, gap=0.5, eps=0.5, delta=0.1, t_star=7)
-        assert override.t_star == 7
 
     def test_zero_gap_errors(self):
         stats = degree_stats(cycle_graph(10))

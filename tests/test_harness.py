@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from epithresh import harness
 from epithresh.estimators import relative_error
 from epithresh.harness import (
     run_synthetic_experiment,
@@ -12,6 +13,7 @@ from epithresh.harness import (
     write_curve_csv,
     write_records_csv,
 )
+from epithresh.spectral import spectral_radius
 
 
 class TestThetaProductModel:
@@ -156,6 +158,35 @@ class TestSyntheticExperiment:
             result = run_synthetic_experiment("pa", 200, seed=1, thin=9, **tree)
         assert result.component_n == 200 and result.config.thin == 9
         assert result.curve[0].seeds_used == 1
+
+    @pytest.mark.parametrize(
+        "params, solves",
+        [
+            ({"deg_dist": "uniform", "low": 6.0, "high": 14.0}, 1),  # connected
+            ({"deg_dist": "powerlaw"}, 2),  # the component is a strict subgraph
+        ],
+    )
+    def test_one_radius_solve_per_distinct_graph(self, monkeypatch, params, solves):
+        solved = []
+
+        def counted(g, *args, **kwargs):
+            solved.append(g)
+            return spectral_radius(g, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "spectral_radius", counted)
+        result = run_synthetic_experiment("chung-lu", 2000, seed=3, params=params, walk_seeds=1)
+        assert len(solved) == solves
+        assert (result.component_n == 2000) == (solves == 1)
+        if solves == 1:
+            assert (result.component_lambda, result.component_t1) == (result.lambda_a, result.t1)
+
+    def test_thin_zero_refused_before_any_solve(self, monkeypatch):
+        def unreachable(g, *args, **kwargs):
+            raise AssertionError("spectral_radius called before the schedule check")
+
+        monkeypatch.setattr(harness, "spectral_radius", unreachable)
+        with pytest.raises(ValueError, match="thinning must be at least 1"):
+            run_synthetic_experiment("pa", 200, seed=1, params={"edges_per_node": 1}, thin=0)
 
 
 class TestFiftyThousandNodeInstances:

@@ -350,6 +350,13 @@ class TestWalkKernel:
         assert got_stuck == want_stuck
         if want is not None:
             _same_points(got, want)
+            # the output order: seed by seed, each block in ascending budget
+            width = len(budgets)
+            assert len(got) == len(seeds) * width
+            for i, seed in enumerate(seeds):
+                block = got[i * width:(i + 1) * width]
+                assert [p.seed for p in block] == [seed] * width
+                assert [p.budget for p in block] == sorted(budgets)
         # the per-query path: the same points and the same queries, in order
         checked, logged = _CheckedOracle(g), _CheckedOracle(g)
         (queried, queried_stuck) = _outcome(
