@@ -34,8 +34,8 @@ _SUM_CHUNK = 10_000
 
 # read_edge_list reads the file in binary chunks of this many bytes.
 _READ_CHUNK = 1 << 20
-# The most nodes a graph can have: the int64 directed keys src*n + dst need
-# n*n - 1 < 2**63.
+# The most nodes a graph can have, and the base of the int64 directed keys
+# src*_MAX_NODES + dst: ids below it keep every key below 2**63.
 _MAX_NODES = math.isqrt(2**63 - 1)
 # Tokens of at most this many digits fit in int64 and are parsed in bulk;
 # longer ones go to the per-line parser.
@@ -148,12 +148,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values: one in-place sort of ``values`` (every caller
-    passes a temporary) plus a neighbour-inequality mask."""
+    passes a temporary) plus a neighbour-inequality mask. Returns ``values``
+    itself when nothing repeats, so only repeats cost a copy."""
+    if values.size < 2:  # a BFS level of 0 or 1 nodes skips the numpy calls
+        return values
     values.sort()
     keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    return values if np.count_nonzero(keep) == values.size else values[keep]
 
 
 def _csr(n: int, degrees: np.ndarray, neighbors: np.ndarray) -> Graph:
@@ -169,6 +172,31 @@ def _csr(n: int, degrees: np.ndarray, neighbors: np.ndarray) -> Graph:
     )
 
 
+def _directed_keys(pairs: np.ndarray) -> np.ndarray:
+    """Fresh int64 keys ``src*_MAX_NODES + dst`` of both directions of each
+    (k, 2) pair with ids below _MAX_NODES, self-loops dropped; ``pairs`` is
+    only read. The keys sort in (src, dst) order."""
+    kept = pairs[:, 0] != pairs[:, 1]
+    k = int(np.count_nonzero(kept))
+    if k < len(pairs):
+        pairs = pairs[kept]
+    keys = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    keys *= _MAX_NODES
+    keys[:k] += pairs[:, 1]
+    keys[k:] += pairs[:, 0]
+    return keys
+
+
+def _keys_to_csr(keys: np.ndarray, n: int) -> Graph:
+    """Graph on n nodes from directed keys of ids below n, in any order and
+    with repeats. ``keys`` is a temporary: it is sorted and deduped in place
+    (copied only when something repeats), row bounds come from a search for
+    each node's first key, and the neighbours are its in-place remainder."""
+    keys = _sorted_unique(keys)
+    bounds = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * _MAX_NODES)
+    return _csr(n, np.diff(bounds), np.remainder(keys, _MAX_NODES, out=keys))
+
+
 def build_graph_with_report(
     edges: Iterable[tuple[int, int]] | np.ndarray, n: int
 ) -> tuple[Graph, BuildReport]:
@@ -177,8 +205,9 @@ def build_graph_with_report(
     Input pairs may repeat, appear in either orientation, or be self-loops;
     the result is the simple undirected graph on those edges. Raises
     ValueError for ids outside [0, n), and, before allocating anything, for
-    n above _MAX_NODES. One sort of the int64 directed keys ``src*n + dst``
-    both dedupes the edges and orders them into CSR rows.
+    n above _MAX_NODES. The pairs are only read: their int64 directed keys
+    ``src*_MAX_NODES + dst`` are written once, and one in-place sort of
+    them both dedupes the edges and orders them into CSR rows.
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got {n}")
@@ -196,19 +225,10 @@ def build_graph_with_report(
         bad = arr[(arr < 0) | (arr >= n)]
         raise ValueError(f"edge endpoint {int(bad.flat[0])} out of range [0, {n})")
 
-    # arr may be the caller's array: only the fresh key buffer is written
-    kept = arr[:, 0] != arr[:, 1]
-    k = int(np.count_nonzero(kept))
-    if k < len(arr):
-        arr = arr[kept]
-    keys = np.concatenate((arr[:, 0], arr[:, 1]))
-    keys *= n
-    keys[:k] += arr[:, 1]
-    keys[k:] += arr[:, 0]
-    keys = _sorted_unique(keys)
-    report = BuildReport(len(kept) - k, k - len(keys) // 2)
-    degrees = np.bincount(keys // n, minlength=n)
-    return _csr(n, degrees, np.remainder(keys, n, out=keys)), report
+    keys = _directed_keys(arr)
+    k = keys.size // 2
+    graph = _keys_to_csr(keys, n)
+    return graph, BuildReport(len(arr) - k, k - graph.m)
 
 
 def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
@@ -251,6 +271,13 @@ def _components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     other) are labeled in one step each. Each next root is found by a
     vectorized search in windows that double from the last root, so Python
     loops run per larger component and per BFS level, never per node.
+
+    A level is taken from whichever side is smaller (direction-optimizing
+    BFS). When fewer nodes are left unlabeled than the frontier holds, the
+    next level is the unlabeled nodes with a neighbour in the current
+    component, which in a BFS can only be a frontier node: one gather over
+    the unlabeled nodes' slices instead of the frontier's. The BFS and the
+    root search stop once no node is left unlabeled.
     """
     deg = g.degrees
     root = np.where(deg > 0, -1, np.arange(g.n, dtype=np.int64))
@@ -261,19 +288,28 @@ def _components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     ends, mates = ends[paired], mates[paired]
     root[ends] = np.minimum(ends, mates)
     parity[ends] = ends > mates
+    left = int(np.count_nonzero(root < 0))
     start, window = 0, _ROOT_WINDOW
-    while start < g.n:
+    while left:
         hits = np.flatnonzero(root[start : start + window] < 0)
         if not hits.size:
             start, window = start + window, 2 * window
             continue
         r = start + int(hits[0])
         root[r] = r
+        left -= 1
         frontier = np.array([r], dtype=np.int64)
         level = 0
-        while frontier.size:
-            nbrs = _frontier_neighbors(g, frontier)
-            frontier = _sorted_unique(nbrs[root[nbrs] < 0])
+        while left and frontier.size:
+            if left < frontier.size:  # bottom-up; no unlabeled node has degree 0
+                rest = np.flatnonzero(root < 0)
+                lens = deg[rest]
+                near = root[_frontier_neighbors(g, rest)] == r
+                frontier = rest[np.logical_or.reduceat(near, np.cumsum(lens) - lens)]
+            else:
+                nbrs = _frontier_neighbors(g, frontier)
+                frontier = _sorted_unique(nbrs[root[nbrs] < 0])
+            left -= frontier.size
             level ^= 1
             root[frontier] = r
             parity[frontier] = level
@@ -418,6 +454,39 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
         yield unix(carry)
 
 
+def _read_keys(path: str) -> tuple[np.ndarray, int]:
+    """The directed keys of an edge-list file's edges, and its node count.
+
+    Each chunk's pairs become that chunk's keys as soon as it is parsed, and
+    those are appended to one buffer, so the pairs are never joined. The
+    buffer grows by a quarter when full and is cut to size at the end, by
+    ``ndarray.resize`` (realloc, which remaps a large block's pages rather
+    than copying them); no view of it outlives a statement, so the resize
+    skips numpy's reference check.
+    """
+    keys = np.empty(0, dtype=np.int64)
+    end = 0
+    declared_n = 0
+    max_id = -1
+    line_base = 0
+    with open(path, "rb") as fh:
+        for buf in _line_blocks(fh):
+            pairs, declared, lines = _parse_chunk(path, buf, line_base)
+            if pairs.size:
+                max_id = max(max_id, int(pairs.max()))
+            part = _directed_keys(pairs)
+            del pairs  # neither array is held through the next chunk's parse
+            if end + part.size > keys.size:
+                keys.resize(max(end + part.size, keys.size + keys.size // 4), refcheck=False)
+            keys[end : end + part.size] = part
+            end += part.size
+            del part
+            declared_n = max(declared_n, declared)
+            line_base += lines
+    keys.resize(end, refcheck=False)
+    return keys, max(declared_n, max_id + 1)
+
+
 def read_edge_list(path: str) -> Graph:
     """Parse a whitespace-separated "u v" edge-list file into a Graph.
 
@@ -427,28 +496,19 @@ def read_edge_list(path: str) -> Graph:
     "\n", "\r\n" and "\r" all end a line. The file is UTF-8.
 
     The file is read in 1 MiB binary chunks (_READ_CHUNK), each cut after
-    its last line end; plain "u v" lines are parsed in bulk. The chunks'
-    int64 pairs are dropped once joined, and the build adds two directed
-    keys per edge and their deduped copy, so the read peaks near 50 bytes
-    per edge plus one chunk's parse (or the longest line's). Any other line is parsed
-    on its own, so EdgeListParseError carries the exact line number of the
-    first bad line. An id of _MAX_NODES or more, or a "# n=" count above
-    it, is such an error: no graph that large can be built, so the file is
-    refused before any graph array is allocated.
+    its last line end; plain "u v" lines are parsed in bulk. Each chunk's
+    int64 pairs become its two directed keys ``src*_MAX_NODES + dst`` per
+    edge at once (the base is fixed, since n is known only at the end), and
+    are appended to one growing buffer that the build sorts, dedupes and
+    turns into neighbours in place. So the read peaks near 20 bytes per
+    edge (the keys and the buffer's slack) plus one chunk's parse (or the
+    longest line's). Any other line is parsed on its own, so
+    EdgeListParseError carries the exact line number of the first bad line.
+    An id of _MAX_NODES or more, or a "# n=" count above it, is such an
+    error: no graph that large can be built, so the file is refused before
+    any graph array is allocated.
     """
-    chunks: list[np.ndarray] = []
-    declared_n = 0
-    line_base = 0
-    with open(path, "rb") as fh:
-        for buf in _line_blocks(fh):
-            pairs, declared, lines = _parse_chunk(path, buf, line_base)
-            chunks.append(pairs)
-            declared_n = max(declared_n, declared)
-            line_base += lines
-    pairs = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    chunks.clear()  # the per-chunk arrays need not live through the build
-    max_id = int(pairs.max()) if pairs.size else -1
-    return build_graph(pairs, max(declared_n, max_id + 1))
+    return _keys_to_csr(*_read_keys(path))
 
 
 def _format_pairs(pairs: np.ndarray) -> bytes:

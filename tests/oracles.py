@@ -8,7 +8,8 @@ parser and per-edge writer, dense transition-matrix iteration for walk
 distributions, the per-step walk and error-curve loops over the oracle's
 own counted queries, a Hill estimator for tail exponents, the
 separate connectivity BFS and per-node stack 2-coloring that the one
-component traversal replaced, the per-row reference sampler that now
+component traversal replaced, that traversal's former top-down-only
+loop, the per-row reference sampler that now
 draws a block at a time, and the SIR step that recounted the infected
 nodes' neighbors every step.
 """
@@ -372,6 +373,39 @@ def is_connected(g: Graph) -> bool:
         reached += fresh.size
         frontier = fresh
     return reached == g.n
+
+
+def top_down_components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The component BFS before it took small last levels bottom-up: every
+    level gathers the whole frontier's neighbor slices, and the root search
+    runs to the last node. Returns ``(root, parity)`` like ``_components``."""
+    deg = g.degrees
+    root = np.where(deg > 0, -1, np.arange(g.n, dtype=np.int64))
+    parity = np.zeros(g.n, dtype=np.int8)
+    ends = np.flatnonzero(deg == 1)
+    mates = g.neighbors[g.offsets[ends]]
+    paired = deg[mates] == 1
+    ends, mates = ends[paired], mates[paired]
+    root[ends] = np.minimum(ends, mates)
+    parity[ends] = ends > mates
+    start, window = 0, 64
+    while start < g.n:
+        hits = np.flatnonzero(root[start : start + window] < 0)
+        if not hits.size:
+            start, window = start + window, 2 * window
+            continue
+        r = start + int(hits[0])
+        root[r] = r
+        frontier = np.array([r], dtype=np.int64)
+        level = 0
+        while frontier.size:
+            nbrs = _frontier_neighbors(g, frontier)
+            frontier = _sorted_unique(nbrs[root[nbrs] < 0])
+            level ^= 1
+            root[frontier] = r
+            parity[frontier] = level
+        start, window = r + 1, 64
+    return root, parity
 
 
 def bipartite_coloring(g: Graph) -> np.ndarray | None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from epithresh import graph as graph_module
 from epithresh.graph import (
     EdgeListParseError,
+    Graph,
     _components,
     build_graph,
     build_graph_with_report,
@@ -25,8 +26,25 @@ from oracles import (
     dense_adjacency,
     read_edge_list_lines,
     recount_degree_sums,
+    top_down_components,
     write_edge_list_lines,
 )
+
+
+def _dense_random_graph() -> Graph:
+    """~400k distinct edges on 20k nodes (mean degree ~40, connected)."""
+    rng = np.random.default_rng(5)
+    return build_graph(rng.integers(0, 20_000, size=(400_000, 2)), 20_000)
+
+
+def _traced_peak(call):
+    """``(call(), peak bytes tracemalloc saw allocated during the call)``."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBuildGraph:
@@ -75,6 +93,15 @@ class TestBuildGraph:
             g = build_graph(source, 5)
             assert np.array_equal(source, before)
             assert g.edge_pairs().tolist() == [[0, 4], [1, 3]]
+
+    def test_peak_memory_per_edge(self):
+        # distinct pairs: the build holds the 2k directed keys and a 2k-byte
+        # repeat mask above its input, and sorts, dedupes and decodes them in
+        # place
+        pairs = _dense_random_graph().edge_pairs()
+        g, peak = _traced_peak(lambda: build_graph(pairs, 20_000))
+        assert g.m == len(pairs)
+        assert peak / g.m <= 24
 
     def test_idempotent_rebuild(self):
         g = random_graph(30, 0.2, seed=1)
@@ -224,6 +251,14 @@ class TestLargestComponent:
                         stack.append(int(v))
             assert len(seen) == sub.n
 
+    def test_peak_memory_per_edge(self):
+        # a connected graph: node-sized labels, and a last BFS level taken
+        # from the few nodes left rather than from the frontier's slices
+        g = _dense_random_graph()
+        (sub, _), peak = _traced_peak(lambda: largest_component(g))
+        assert sub is g
+        assert peak / g.m <= 8
+
     def test_empty_graph_errors(self):
         with pytest.raises(ValueError):
             largest_component(build_graph([], 0))
@@ -271,6 +306,84 @@ class TestLargestComponent:
         want = sorted({(index[u], index[v]) for u, v in edges if u != v and u in index})
         want = build_graph(want, len(best))
         assert sub.identical(want)
+
+
+@st.composite
+def _bottom_up_graphs(draw):
+    """Disjoint unions of dense G(n, p), stars, complete bipartite graphs,
+    isolated edges and isolated nodes under shuffled node ids: graphs whose
+    BFS reaches levels larger than the count of nodes left unlabeled."""
+    kinds = st.sampled_from(["gnp", "star", "kab", "edge", "node"])
+    n, edges = 0, []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+        if kind == "gnp":
+            size, p = draw(st.integers(2, 30)), draw(st.sampled_from([0.3, 0.5, 0.7, 1.0]))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            iu, ju = np.triu_indices(size, 1)
+            hit = rng.random(iu.size) < p
+            part = list(zip(iu[hit].tolist(), ju[hit].tolist()))
+        elif kind == "star":
+            size = draw(st.integers(2, 30))
+            part = [(0, leaf) for leaf in range(1, size)]
+        elif kind == "kab":
+            a, b = draw(st.integers(1, 8)), draw(st.integers(1, 20))
+            size, part = a + b, [(u, a + v) for u in range(a) for v in range(b)]
+        elif kind == "edge":
+            size, part = 2, [(0, 1)]
+        else:
+            size, part = 1, []
+        edges += [(n + u, n + v) for u, v in part]
+        n += size
+    ids = draw(st.permutations(range(n)))
+    return n, [(ids[u], ids[v]) for u, v in edges]
+
+
+class TestComponentsBottomUp:
+    """_components, which takes a level bottom-up when fewer nodes are left
+    than the frontier holds, against the top-down-only loop."""
+
+    @given(case=_bottom_up_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_top_down_loop(self, case):
+        n, edges = case
+        g = build_graph(edges, n)
+        root, parity = _components(g)
+        want_root, want_parity = top_down_components(g)
+        assert np.array_equal(root, want_root)
+        assert np.array_equal(parity, want_parity)
+        assert root.dtype == want_root.dtype and parity.dtype == want_parity.dtype
+
+    @pytest.mark.parametrize(
+        "edges, n, gathered, root, parity",
+        [
+            # K_{2,5}: root 0's first level is the five nodes of the other
+            # side, more than the one node left, so the next level gathers
+            # node 1's slice instead of the five frontier slices, and the BFS
+            # stops there
+            (
+                [(a, b) for a in (0, 1) for b in range(2, 7)], 7,
+                [[0], [1]], [0] * 7, [0, 0, 1, 1, 1, 1, 1],
+            ),
+            # a star on 0..5 and a triangle on 6..8: the five leaves outnumber
+            # the three nodes left, whose gather finds none of them next to
+            # the star; the triangle is then found and labeled top-down
+            (
+                [(0, v) for v in range(1, 6)] + [(6, 7), (7, 8), (8, 6)], 9,
+                [[0], [6, 7, 8], [6]], [0] * 6 + [6] * 3, [0, 1, 1, 1, 1, 1, 0, 1, 1],
+            ),
+        ],
+        ids=["K2,5", "star-and-triangle"],
+    )
+    def test_small_last_level_gathers_the_unlabeled_side(self, edges, n, gathered, root, parity):
+        g = build_graph(edges, n)
+        gather = mock.patch.object(
+            graph_module, "_frontier_neighbors", wraps=graph_module._frontier_neighbors
+        )
+        with gather as calls:
+            got_root, got_parity = _components(g)
+        assert [c.args[1].tolist() for c in calls.call_args_list] == gathered
+        assert got_root.tolist() == root
+        assert got_parity.tolist() == parity
 
 
 class TestEdgeListIO:
@@ -388,24 +501,18 @@ class TestChunkedReader:
     @pytest.mark.parametrize("chunk", [1 << 16, None], ids=["64KiB", "default"])
     def test_peak_memory_per_edge(self, tmp_path, monkeypatch, chunk):
         # ~400k distinct edges in a file of over 4 MB, read in 64 KiB chunks
-        # and in the default ones; the reader holds the pairs, the directed
-        # keys and the deduped keys and one chunk's parse, not a second sort's
-        # copies
-        rng = np.random.default_rng(5)
-        g = build_graph(rng.integers(0, 20_000, size=(400_000, 2)), 20_000)
+        # and in the default ones; the reader holds one growing buffer of
+        # directed keys and one chunk's keys and parse, never the joined
+        # pairs (one default chunk's parse sets that case's peak)
+        g = _dense_random_graph()
         path = str(tmp_path / "g.txt")
         write_edge_list(g, path)
         assert os.path.getsize(path) >= 4_000_000
         if chunk is not None:
             monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
-        tracemalloc.start()
-        try:
-            got = read_edge_list(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = _traced_peak(lambda: read_edge_list(path))
         assert got.identical(g)
-        assert peak / g.m <= 64
+        assert peak / g.m <= (64 if chunk is None else 40)
 
     def test_many_chunks_error_line_is_exact(self, tmp_path):
         lines = ["# n=1000"] + [f"{i} {i + 1}" for i in range(999)]
@@ -478,6 +585,22 @@ class TestNodeCountCap:
         cap = graph_module._MAX_NODES
         assert cap == 3_037_000_499
         assert cap * cap - 1 < 2**63 <= (cap + 1) * (cap + 1) - 1
+
+    def test_directed_keys_near_the_cap(self):
+        # ids just below the cap: every key is src*cap + dst without int64
+        # wrap-around, decodes to its ids and sorts in (src, dst) order; the
+        # row bounds searched for, up to n*cap at n = cap, fit as well
+        cap = graph_module._MAX_NODES
+        pairs = np.array([[cap - 1, cap - 2], [0, cap - 1], [cap - 2, cap - 2], [cap - 2, 3]])
+        keys = graph_module._directed_keys(pairs)
+        forward = [(cap - 1, cap - 2), (0, cap - 1), (cap - 2, 3)]
+        directed = forward + [(d, s) for s, d in forward]
+        assert keys.tolist() == [s * cap + d for s, d in directed]
+        src, dst = np.divmod(keys, cap)
+        assert list(zip(src.tolist(), dst.tolist())) == directed
+        assert np.sort(keys).tolist() == [s * cap + d for s, d in sorted(directed)]
+        bounds = np.arange(cap - 1, cap + 1, dtype=np.int64) * cap
+        assert bounds.tolist() == [(cap - 1) * cap, cap * cap]
 
     @pytest.mark.parametrize("n", [3_037_000_500, 2**62])
     def test_build_refuses_huge_node_count(self, n):
