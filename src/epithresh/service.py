@@ -23,7 +23,7 @@ answering requests; a request is counted before its reply is sent, so STATS
 covers every request whose reply a client has read, but not itself.
 
 A walk against a RemoteOracle is bit-identical to the same walk against a
-LocalOracle on the same graph: both answer from the same sorted adjacency.
+LocalOracle on the same graph: the server answers through a LocalOracle.
 ``RemoteOracle.neighbor`` sends STEP and keeps the degree that comes back,
 so the walk's next ``degree`` call, for the node just reached, needs no
 request: a T-step walk makes T + 1 round trips (one DEG, then T STEPs) for
@@ -38,7 +38,7 @@ import threading
 import time
 
 from .graph import Graph
-from .walker import GraphOracle
+from .walker import GraphOracle, LocalOracle
 
 __all__ = [
     "OracleServer",
@@ -75,28 +75,24 @@ def _read_line(rfile) -> bytes | None:
     return raw
 
 
-def handle_request(g: Graph, line: str) -> str:
-    """Evaluate one protocol request against a graph; never raises."""
+def handle_request(oracle: LocalOracle, line: str) -> str:
+    """Answer one protocol request through a LocalOracle; never raises."""
     parts = line.split()
     if not parts:
         return "ERR empty-request"
     cmd = parts[0].upper()
     try:
         if cmd == "N" and len(parts) == 1:
-            return str(g.n)
+            return str(oracle.node_count())
         if cmd == "DEG" and len(parts) == 2:
-            v = int(parts[1])
-            if not 0 <= v < g.n:
-                return "ERR out-of-range"
-            return str(int(g.degrees[v]))
+            return str(oracle.degree(int(parts[1])))
         if cmd in ("NBR", "STEP") and len(parts) == 3:
-            v, k = int(parts[1]), int(parts[2])
-            if not 0 <= v < g.n or not 0 <= k < g.degrees[v]:
-                return "ERR out-of-range"
-            u = int(g.neighbors[g.offsets[v] + k])
-            return str(u) if cmd == "NBR" else f"{u} {int(g.degrees[u])}"
+            u = oracle.neighbor(int(parts[1]), int(parts[2]))
+            return str(u) if cmd == "NBR" else f"{u} {oracle.degree(u)}"
     except ValueError:
         return "ERR malformed-arguments"
+    except IndexError:
+        return "ERR out-of-range"
     return "ERR unknown-command"
 
 
@@ -131,7 +127,7 @@ class _Handler(socketserver.StreamRequestHandler):
         super().setup()
 
     def handle(self):
-        graph, stats = self.server.graph, self.server.stats  # type: ignore[attr-defined]
+        oracle, stats = self.server.oracle, self.server.stats  # type: ignore[attr-defined]
         while True:
             try:
                 raw = _read_line(self.rfile)
@@ -149,7 +145,7 @@ class _Handler(socketserver.StreamRequestHandler):
             if line.upper() == "STATS":
                 reply = stats.reply()
             else:
-                reply = handle_request(graph, line)
+                reply = handle_request(oracle, line)
             stats.request(cmd, reply.startswith("ERR"), time.perf_counter_ns() - started)
             self.wfile.write((reply + "\n").encode(_ENCODING))
 
@@ -158,8 +154,8 @@ class _ThreadingServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], graph: Graph):
-        self.graph = graph
+    def __init__(self, address: tuple[str, int], oracle: LocalOracle):
+        self.oracle = oracle
         self.stats = _Stats()
         self._slots = threading.BoundedSemaphore(_MAX_CONNECTIONS)
         super().__init__(address, _Handler)
@@ -193,9 +189,7 @@ class OracleServer:
     """A running oracle service; use as a context manager or call stop()."""
 
     def __init__(self, g: Graph, address: tuple[str, int] = ("127.0.0.1", 0)):
-        if g.m == 0:
-            raise ValueError("oracle requires a graph with at least one edge")
-        self._server = _ThreadingServer(address, g)
+        self._server = _ThreadingServer(address, LocalOracle(g))
         self._thread = threading.Thread(
             target=self._server.serve_forever, name="oracle-server", daemon=True
         )

@@ -25,9 +25,9 @@ query accounting. It adds the degree it leaves at steps t_star, t_star +
 thin, ... to its sample sum, so neither estimator does step arithmetic. The
 report's ``total_steps``, ``total_queries`` (two per step) and
 ``distinct_nodes_seen`` are the one tally, and oracles keep no counters. A
-``LocalOracle`` is stepped through unchecked list accessors, and such a walk
-keeps its distinct nodes in an n-byte mask, small next to the oracle's own
-lists of n + 2m ints. Any other oracle answers each step through its own
+``LocalOracle`` is stepped through unchecked accessors over its views of the
+graph's CSR arrays, and such a walk keeps its distinct nodes in an n-byte
+mask. Any other oracle answers each step through its own
 ``degree`` and ``neighbor`` calls, one of each per step, in that order, and
 the walk keeps its distinct nodes in a dict that grows with the walk alone,
 whatever node count or ids the oracle reports.
@@ -84,16 +84,19 @@ class GraphOracle(ABC):
 
 
 class LocalOracle(GraphOracle):
-    """In-memory adapter over a Graph; neighbor(v, k) is the k-th sorted neighbor."""
+    """In-memory adapter over a Graph; neighbor(v, k) is the k-th sorted neighbor.
+
+    Walks and the oracle server both answer through it. It holds memoryviews
+    of the graph's CSR arrays, not copies, so it costs O(1) memory.
+    """
 
     def __init__(self, g: Graph):
         if g.m == 0:
             raise ValueError("oracle requires a graph with at least one edge")
         self._n = g.n
-        # Plain lists keep per-query overhead minimal on long walks.
-        self._deg = g.degrees.tolist()
-        self._off = g.offsets.tolist()
-        self._nbr = g.neighbors.tolist()
+        self._deg = memoryview(g.degrees)
+        self._off = memoryview(g.offsets)
+        self._nbr = memoryview(g.neighbors)
 
     def node_count(self) -> int:
         return self._n
@@ -111,7 +114,7 @@ class LocalOracle(GraphOracle):
         return self._nbr[self._off[v] + k]
 
     def _walk_accessors(self) -> tuple[Callable[[int], int], Callable[[int, int], int]]:
-        """Unchecked (degree, neighbor) over the plain lists.
+        """Unchecked (degree, neighbor) over the CSR memoryviews.
 
         Only for a walk that starts in range and draws k below the degree.
         """

@@ -1,7 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from epithresh.graph import Graph, build_graph
+
+
+def traced_peak(call):
+    """``(call(), peak bytes tracemalloc saw allocated during the call)``."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def complete_graph(n: int) -> Graph:

@@ -1,6 +1,5 @@
 import os
 import tempfile
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +20,7 @@ from epithresh.graph import (
     write_edge_list,
 )
 
-from conftest import complete_graph, random_graph, star_graph
+from conftest import complete_graph, random_graph, star_graph, traced_peak
 from oracles import (
     dense_adjacency,
     read_edge_list_lines,
@@ -35,16 +34,6 @@ def _dense_random_graph() -> Graph:
     """~400k distinct edges on 20k nodes (mean degree ~40, connected)."""
     rng = np.random.default_rng(5)
     return build_graph(rng.integers(0, 20_000, size=(400_000, 2)), 20_000)
-
-
-def _traced_peak(call):
-    """``(call(), peak bytes tracemalloc saw allocated during the call)``."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestBuildGraph:
@@ -99,7 +88,7 @@ class TestBuildGraph:
         # repeat mask above its input, and sorts, dedupes and decodes them in
         # place
         pairs = _dense_random_graph().edge_pairs()
-        g, peak = _traced_peak(lambda: build_graph(pairs, 20_000))
+        g, peak = traced_peak(lambda: build_graph(pairs, 20_000))
         assert g.m == len(pairs)
         assert peak / g.m <= 24
 
@@ -255,7 +244,7 @@ class TestLargestComponent:
         # a connected graph: node-sized labels, and a last BFS level taken
         # from the few nodes left rather than from the frontier's slices
         g = _dense_random_graph()
-        (sub, _), peak = _traced_peak(lambda: largest_component(g))
+        (sub, _), peak = traced_peak(lambda: largest_component(g))
         assert sub is g
         assert peak / g.m <= 8
 
@@ -510,7 +499,7 @@ class TestChunkedReader:
         assert os.path.getsize(path) >= 4_000_000
         if chunk is not None:
             monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
-        got, peak = _traced_peak(lambda: read_edge_list(path))
+        got, peak = traced_peak(lambda: read_edge_list(path))
         assert got.identical(g)
         assert peak / g.m <= (64 if chunk is None else 40)
 

@@ -26,7 +26,7 @@ def graph_with_degree_4_at_3():
     # node 3 has degree 4: neighbors 0, 1, 2, 4
     from epithresh.graph import build_graph
 
-    return build_graph([(3, 0), (3, 1), (3, 2), (3, 4), (0, 1)], 5)
+    return local_oracle(build_graph([(3, 0), (3, 1), (3, 2), (3, 4), (0, 1)], 5))
 
 
 class TestProtocol:
@@ -57,6 +57,57 @@ class TestProtocol:
         assert handle_request(graph_with_degree_4_at_3, "PING 1") == "ERR unknown-command"
         assert handle_request(graph_with_degree_4_at_3, "STEP 3") == "ERR unknown-command"
         assert handle_request(graph_with_degree_4_at_3, "STEP 3 x") == "ERR malformed-arguments"
+
+
+def _reply(answer):
+    """What the protocol should send for an oracle call: its answer, or
+    "ERR out-of-range" if it raises IndexError."""
+    try:
+        return answer()
+    except IndexError:
+        return "ERR out-of-range"
+
+
+class TestProtocolParity:
+    """The server's replies are the LocalOracle's answers, and those are the
+    graph's sorted adjacency."""
+
+    @pytest.mark.parametrize(
+        "edges, n",
+        [
+            ([(0, i) for i in range(1, 6)], 6),  # a star
+            ([(3, 0), (3, 1), (3, 2), (3, 4), (0, 1)], 5),  # node 3 has degree 4
+            ([(0, 1), (1, 2)], 4),  # node 3 is isolated
+        ],
+    )
+    def test_replies_are_the_oracles_answers(self, edges, n):
+        from epithresh.graph import build_graph
+
+        g = build_graph(edges, n)
+        oracle = local_oracle(g)
+        expected = {}
+        for v in range(-1, g.n + 1):
+            inside = 0 <= v < g.n
+            degree = int(g.degrees[v]) if inside else 0
+            expected[f"DEG {v}"] = _reply(lambda: str(oracle.degree(v)))
+            assert (expected[f"DEG {v}"] == "ERR out-of-range") == (not inside)
+            for k in range(-1, degree + 2):
+                u = _reply(lambda: oracle.neighbor(v, k))
+                assert (u == "ERR out-of-range") == (not (inside and 0 <= k < degree))
+                if u != "ERR out-of-range":
+                    assert u == g.neighbors_of(v)[k]
+                    expected[f"NBR {v} {k}"] = str(u)
+                    expected[f"STEP {v} {k}"] = f"{u} {oracle.degree(u)}"
+                else:
+                    expected[f"NBR {v} {k}"] = expected[f"STEP {v} {k}"] = u
+        for request, reply in expected.items():
+            assert handle_request(oracle, request) == reply, request
+        with serve_oracle(g) as server, socket.create_connection(server.address) as sock:
+            with sock.makefile("rwb") as wire:
+                for request, reply in expected.items():
+                    wire.write(f"{request}\n".encode())
+                    wire.flush()
+                    assert wire.readline().decode().rstrip("\n") == reply, request
 
 
 class _ScriptedServer(socketserver.ThreadingTCPServer):

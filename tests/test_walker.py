@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from epithresh.estimators import sample_size, t1_estimate
 from epithresh.generators import chung_lu_sample_fast, uniform_expected_degrees
-from epithresh.graph import build_graph, degree_stats, largest_component
+from epithresh.graph import Graph, build_graph, degree_stats, largest_component
 from epithresh.harness import model_graph
 from epithresh.spectral import BipartiteGraphError, spectral_gap
 from epithresh.walker import (
@@ -24,7 +24,13 @@ from epithresh.walker import (
     random_walk_estimate,
 )
 
-from conftest import complete_graph, cycle_graph, random_connected_graph, star_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    random_connected_graph,
+    star_graph,
+    traced_peak,
+)
 from oracles import pi_weighted_mean_degree, step_loop_error_curve, step_loop_walk_estimate
 
 
@@ -60,6 +66,41 @@ class TestLocalOracle:
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
             local_oracle(build_graph([], 3))
+
+    def test_build_allocates_no_copy_of_the_graph(self):
+        # a copy of the CSR arrays as Python ints costs about 40 B per entry
+        small = chung_lu_sample_fast(uniform_expected_degrees(2_000, 2.0, 8.0, seed=1), 2)
+        large = chung_lu_sample_fast(uniform_expected_degrees(20_000, 10.0, 30.0, seed=3), 4)
+        assert large.m >= 10 * small.m
+        for g in (small, large):
+            oracle, peak = traced_peak(lambda: local_oracle(g))
+            assert oracle.node_count() == g.n
+            assert peak <= 4096
+
+    def test_memory_mapped_graph_answers_alike(self, tmp_path):
+        # the arrays saved and memory-mapped read-only, as the benchmark loads them
+        g, _ = largest_component(
+            chung_lu_sample_fast(uniform_expected_degrees(500, 2.0, 9.0, seed=1), 2))
+        arrays = {}
+        for name in ("offsets", "neighbors", "degrees"):
+            np.save(tmp_path / f"{name}.npy", getattr(g, name))
+            arrays[name] = np.load(tmp_path / f"{name}.npy", mmap_mode="r")
+        mapped = Graph(n=g.n, m=g.m, **arrays)
+        assert not mapped.neighbors.flags.writeable
+        here, there = local_oracle(g), local_oracle(mapped)
+        cfg = WalkConfig(t_star=20, r=300, thin=3, seed=9)
+        assert random_walk_estimate(there, cfg, trace=True) == random_walk_estimate(
+            here, cfg, trace=True)
+        budgets = [10, g.n // 2, g.n]
+        assert error_curve(there, 2.0, 3.0, [1, 2], budgets, t_star=0) == error_curve(
+            here, 2.0, 3.0, [1, 2], budgets, t_star=0)
+        for v in range(-1, g.n + 1):
+            assert _answer(lambda: there.degree(v)) == _answer(lambda: here.degree(v))
+            for k in range(-1, int(g.degrees[v]) + 2 if 0 <= v < g.n else 2):
+                assert (_answer(lambda: there.neighbor(v, k))
+                        == _answer(lambda: here.neighbor(v, k)))
+        assert _answer(lambda: there.degree(g.n)) is IndexError
+        assert _answer(lambda: there.neighbor(0, g.degrees[0])) is IndexError
 
 
 class TestWalkConfig:
@@ -294,6 +335,14 @@ def _outcome(fn):
         return fn(), None
     except ZeroDegreeNodeError as exc:
         return None, exc.node
+
+
+def _answer(fn):
+    """fn(), or IndexError if it raises that."""
+    try:
+        return fn()
+    except IndexError:
+        return IndexError
 
 
 def _outcome_of(fn):
