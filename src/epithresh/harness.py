@@ -264,9 +264,15 @@ def run_synthetic_experiment(
     graph. ``walk_seeds`` walk seeds are drawn from ``seed``. Budgets are
     fractions of the component's node count, and walks burn in
     ``_default_t_star`` steps for it, then sample every ``thin``-th step.
-    A ``thin`` below 1, or an even one on a bipartite component, is refused
-    before any eigen solve.
+    A ``walk_seeds`` below 1, and ``budget_fractions`` that are empty or hold
+    a value outside (0, 1], are refused before the graph is built; a
+    ``thin`` below 1, or an even one on a bipartite component, before any
+    eigen solve.
     """
+    if walk_seeds < 1:
+        raise ValueError("need at least one walk seed")
+    if not budget_fractions or not all(0 < f <= 1 for f in budget_fractions):
+        raise ValueError("budget fractions must lie in (0, 1]")
     master = np.random.default_rng(seed)
     seeds = tuple(int(master.integers(2**63 - 1)) for _ in range(walk_seeds))
     graph, used_params, _ = model_graph(model, n, seed, params or {})

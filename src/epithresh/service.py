@@ -150,15 +150,28 @@ class _Handler(socketserver.StreamRequestHandler):
             self.wfile.write((reply + "\n").encode(_ENCODING))
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class OracleServer(socketserver.ThreadingTCPServer):
+    """The threading TCP server of a graph's oracle. It serves on its own
+    daemon thread from construction; use it as a context manager or call
+    stop()."""
+
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], oracle: LocalOracle):
-        self.oracle = oracle
+    def __init__(self, g: Graph, address: tuple[str, int] = ("127.0.0.1", 0)):
+        self.oracle = LocalOracle(g)  # an edgeless graph is refused before the bind
         self.stats = _Stats()
         self._slots = threading.BoundedSemaphore(_MAX_CONNECTIONS)
         super().__init__(address, _Handler)
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="oracle-server", daemon=True
+        )
+        self._thread.start()
+
+    @property
+    def address(self) -> tuple[str, int]:
+        host, port = self.server_address[:2]
+        return str(host), int(port)
 
     def process_request(self, request, client_address):
         """Serve the connection on its own thread if a slot is free, else
@@ -184,29 +197,10 @@ class _ThreadingServer(socketserver.ThreadingTCPServer):
         finally:
             self._slots.release()
 
-
-class OracleServer:
-    """A running oracle service; use as a context manager or call stop()."""
-
-    def __init__(self, g: Graph, address: tuple[str, int] = ("127.0.0.1", 0)):
-        self._server = _ThreadingServer(address, LocalOracle(g))
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="oracle-server", daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self.shutdown()
+        self.server_close()
         self._thread.join(timeout=5)
-
-    def __enter__(self) -> "OracleServer":
-        return self
 
     def __exit__(self, *exc) -> None:
         self.stop()

@@ -138,11 +138,9 @@ class _Walk:
     def __init__(self, oracle: GraphOracle, seed: int, start: int, path: list[int] | None,
                  t_star: int, thin: int):
         if type(oracle) is LocalOracle:
-            n = oracle.node_count()
-            if not 0 <= start < n:
-                raise IndexError(f"node {start} out of range [0, {n})")
+            oracle.degree(start)  # IndexError unless start is a node
             self._degree, self._neighbor = oracle._walk_accessors()
-            self.visited: bytearray | defaultdict[int, int] = bytearray(n)
+            self.visited: bytearray | defaultdict[int, int] = bytearray(oracle.node_count())
         else:
             self._degree, self._neighbor = oracle.degree, oracle.neighbor
             self.visited = defaultdict(int)
@@ -333,7 +331,8 @@ def error_curve(
     errors are taken against the supplied references. A walk stops after
     ``max_steps`` steps (default 1000 * node count); if that cap is hit
     before the last budget, the remaining budgets are reported with the
-    walk's final state.
+    walk's final state. Every walk takes at least one step, even with
+    ``max_steps=0`` or a budget of 1.
 
     Output order: one point per entry of ``sorted(budgets)`` for each seed,
     seed by seed in the order given, each seed's points in ascending budget.
@@ -349,13 +348,14 @@ def error_curve(
     cap = max_steps if max_steps is not None else 1000 * oracle.node_count()
     points: list[CurvePoint] = []
     for seed in seeds:
-        pending = iter(budgets)
-        next_budget = next(pending)
         walk = _Walk(oracle, seed, start, None, t_star, thin)
-
-        def snapshot(budget: int) -> CurvePoint:
+        for budget in budgets:
+            if walk.steps == 0 or (walk.count < budget and walk.steps < cap):
+                # on to the budget or the step cap, whichever comes first; a
+                # fresh walk takes at least one step
+                walk.advance(max(1, cap - walk.steps), budget)
             est = walk.acc / walk.samples if walk.samples else float("nan")
-            return CurvePoint(
+            points.append(CurvePoint(
                 seed=seed,
                 budget=budget,
                 nodes_seen=walk.count,
@@ -364,17 +364,5 @@ def error_curve(
                 estimate=est,
                 eps_t1=abs(est - t1_reference) / t1_reference,
                 eps_lambda=abs(est - lambda_reference) / lambda_reference,
-            )
-
-        while next_budget is not None:
-            # to the step cap or the budget, whichever comes first; at least one step
-            walk.advance(max(1, cap - walk.steps), next_budget)
-            while next_budget is not None and walk.count >= next_budget:
-                points.append(snapshot(next_budget))
-                next_budget = next(pending, None)
-            if next_budget is not None and walk.steps >= cap:
-                # Budget unreachable in the step cap: emit the final state.
-                points.append(snapshot(next_budget))
-                points.extend(snapshot(b) for b in pending)
-                next_budget = None
+            ))
     return points

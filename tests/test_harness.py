@@ -180,13 +180,27 @@ class TestSyntheticExperiment:
         if solves == 1:
             assert (result.component_lambda, result.component_t1) == (result.lambda_a, result.t1)
 
-    def test_thin_zero_refused_before_any_solve(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(thin=0), "thinning must be at least 1"),
+            (dict(thin=9, walk_seeds=0), "at least one walk seed"),
+            (dict(thin=9, budget_fractions=()), "budget fractions"),
+            (dict(thin=9, budget_fractions=(0.0,)), "budget fractions"),
+            (dict(thin=9, budget_fractions=(-0.5,)), "budget fractions"),
+            (dict(thin=9, budget_fractions=(1.5,)), "budget fractions"),
+            (dict(thin=9, budget_fractions=(math.nan,)), "budget fractions"),
+        ],
+        ids=["thin=0", "walk_seeds=0", "fractions=()", "fractions=0", "fractions=-0.5",
+             "fractions=1.5", "fractions=nan"],
+    )
+    def test_bad_arguments_refused_before_any_solve(self, monkeypatch, kwargs, message):
         def unreachable(g, *args, **kwargs):
-            raise AssertionError("spectral_radius called before the schedule check")
+            raise AssertionError("spectral_radius called before the argument checks")
 
         monkeypatch.setattr(harness, "spectral_radius", unreachable)
-        with pytest.raises(ValueError, match="thinning must be at least 1"):
-            run_synthetic_experiment("pa", 200, seed=1, params={"edges_per_node": 1}, thin=0)
+        with pytest.raises(ValueError, match=message):
+            run_synthetic_experiment("pa", 200, seed=1, params={"edges_per_node": 1}, **kwargs)
 
 
 class TestFiftyThousandNodeInstances:

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epithresh.estimators import sample_size, t1_estimate
@@ -313,6 +313,8 @@ def _walk_graphs(draw):
     return build_graph([(0, 1)] + edges, n)
 
 
+_TRIANGLE_AND_ISOLATED = build_graph([(0, 1), (1, 2), (2, 0)], 4)
+
 _configs = st.builds(
     WalkConfig,
     t_star=st.integers(0, 25),
@@ -385,6 +387,14 @@ class TestWalkKernel:
            t_star=st.integers(0, 12), thin=st.integers(1, 5), start=st.integers(0, 13),
            max_steps=st.one_of(st.none(), st.integers(0, 150)))
     @settings(max_examples=200, deadline=None)
+    # a triangle plus an isolated node: no step cap, a budget met before any
+    # step and a repeated one, and a repeated budget past the cap
+    @example(g=_TRIANGLE_AND_ISOLATED, seeds=[0, 7], budgets=[3], t_star=0, thin=1, start=0,
+             max_steps=0)
+    @example(g=_TRIANGLE_AND_ISOLATED, seeds=[0, 7], budgets=[1, 1, 3], t_star=0, thin=1,
+             start=0, max_steps=None)
+    @example(g=_TRIANGLE_AND_ISOLATED, seeds=[0, 7], budgets=[2, 9, 9], t_star=1, thin=2,
+             start=0, max_steps=5)
     def test_error_curve_matches_step_loop(self, g, seeds, budgets, t_star, thin, start,
                                            max_steps):
         start %= g.n
