@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graph import DegreeStats, Graph, degree_stats
+from .graph import DegreeStats, Graph, _degree_moments
 from .generators import ExpectedDegrees
 from .spectral import SpectralGap
 
@@ -83,8 +83,8 @@ def t1_estimate(g: Graph) -> MomentEstimate:
     """Degree-moment ratio m2/m1 from exact integer sums."""
     if g.m == 0:
         raise ValueError("t1 undefined on an edgeless graph")
-    stats = degree_stats(g)
-    return MomentEstimate(t1=stats.m2 / stats.m1, m1=stats.m1, m2=stats.m2)
+    m1, m2 = _degree_moments(g)
+    return MomentEstimate(t1=m2 / m1, m1=m1, m2=m2)
 
 
 def relative_error(estimate: float, reference: float) -> float:

@@ -115,9 +115,8 @@ class BuildReport:
 class DegreeStats:
     """Exact integer degree statistics of a graph.
 
-    ``m1 = sum(d_i)`` and ``m2 = sum(d_i**2)`` are Python ints computed with
-    chunked 64-bit partial sums, so they stay exact up to n = 1e7 with
-    d_max up to n. ``d_min`` ranges over nodes with positive degree only.
+    ``m1 = sum(d_i)`` and ``m2 = sum(d_i**2)`` are exact Python ints (see
+    ``_degree_moments``). ``d_min`` ranges over nodes with positive degree only.
     """
 
     n: int
@@ -237,11 +236,16 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
     return graph
 
 
+def _degree_moments(g: Graph) -> tuple[int, int]:
+    """Exact (m1, m2): m1 = 2m, since ``len(neighbors) == 2m``, and m2 from
+    chunked 64-bit partial sums, exact up to n = 1e7 with d_max up to n."""
+    return 2 * g.m, _exact_sum(g.degrees * g.degrees)
+
+
 def degree_stats(g: Graph) -> DegreeStats:
     """Exact degree moments m1, m2 plus extremes and isolated-node count."""
     deg = g.degrees
-    m1 = _exact_sum(deg)
-    m2 = _exact_sum(deg * deg)
+    m1, m2 = _degree_moments(g)
     positive = deg[deg > 0]
     return DegreeStats(
         n=g.n,

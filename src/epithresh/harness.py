@@ -64,14 +64,15 @@ class ExperimentConfig:
     thin: int = DEFAULT_THIN
 
     def comment_lines(self) -> list[str]:
+        # thin and the budgets describe walks: a config without walks has none
+        thin = f" thin={self.thin}" if self.walk_seeds else ""
         lines = [f"# experiment={self.experiment}", f"# model={self.model}"]
-        lines.append(f"# n={self.n} seed={self.seed} thin={self.thin}")
+        lines.append(f"# n={self.n} seed={self.seed}{thin}")
         if self.params:
             kv = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
             lines.append(f"# params: {kv}")
         if self.walk_seeds:
             lines.append(f"# walk_seeds={','.join(map(str, self.walk_seeds))}")
-        if self.budget_fractions:
             lines.append(
                 f"# budget_fractions={','.join(map(str, self.budget_fractions))}"
             )

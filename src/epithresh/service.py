@@ -206,13 +206,12 @@ class OracleServer(socketserver.ThreadingTCPServer):
         self.stop()
 
 
-def serve_oracle(g: Graph, address: tuple[str, int] = ("127.0.0.1", 0)) -> OracleServer:
-    """Start serving a graph's oracle on the given bind address."""
-    return OracleServer(g, address)
+serve_oracle = OracleServer
 
 
 class RemoteOracle(GraphOracle):
-    """GraphOracle over the line protocol; one persistent connection."""
+    """GraphOracle over the line protocol; one persistent connection to a
+    served oracle. Errors surface as OSError or OracleProtocolError."""
 
     def __init__(self, address: tuple[str, int], timeout: float = 10.0):
         self._sock = socket.create_connection(address, timeout=timeout)
@@ -295,6 +294,4 @@ class RemoteOracle(GraphOracle):
         self.close()
 
 
-def remote_oracle(address: tuple[str, int], timeout: float = 10.0) -> RemoteOracle:
-    """Connect to a served oracle; errors surface as OSError or OracleProtocolError."""
-    return RemoteOracle(address, timeout=timeout)
+remote_oracle = RemoteOracle

@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -172,8 +171,10 @@ def threshold_sweep(
 ) -> list[SweepRow]:
     """Mean final-size fraction at beta/mu = ratio / lambda(A), per ratio.
 
-    Each replication infects one uniformly random initial node. ``lam``
-    short-circuits the spectral radius if the caller already has it.
+    Each replication infects one uniformly random initial node. The
+    replications of every ratio run as one job list on one thread pool, so
+    no worker waits for a ratio's slowest run. ``lam`` short-circuits the
+    spectral radius if the caller already has it.
     """
     if not ratios:
         raise ValueError("need at least one ratio")
@@ -182,36 +183,32 @@ def threshold_sweep(
     if lam is None:
         lam = spectral_radius(g).value
     master = np.random.default_rng(seed)
-    # Replication seeds are drawn up front so results do not depend on how
-    # many workers execute them.
-    draws = [
-        [
-            (int(master.integers(g.n)), int(master.integers(2**63 - 1)))
-            for _ in range(reps)
-        ]
-        for _ in ratios
+    betas = [min(1.0, ratio * mu / lam) for ratio in ratios]
+    # Replication seeds are drawn up front, ratio-major, so results do not
+    # depend on how many workers execute them.
+    jobs = [
+        (beta, int(master.integers(g.n)), int(master.integers(2**63 - 1)))
+        for beta in betas
+        for _ in range(reps)
     ]
 
-    def one_rep(beta: float, draw: tuple[int, int]) -> float:
-        start, rep_seed = draw
+    def one_rep(job: tuple[float, int, int]) -> float:
+        beta, start, rep_seed = job
         traj = sir_simulate(
             g, SirParams(beta=beta, mu=mu, initial_infected=(start,), seed=rep_seed)
         )
         return traj.final_fraction
 
-    rows: list[SweepRow] = []
-    with ThreadPoolExecutor(max_workers=worker_count(reps)) as pool:
-        for ratio, ratio_draws in zip(ratios, draws):
-            beta = min(1.0, ratio * mu / lam)
-            fractions = np.array(list(pool.map(partial(one_rep, beta), ratio_draws)))
-            rows.append(
-                SweepRow(
-                    ratio=float(ratio),
-                    beta=float(beta),
-                    mu=float(mu),
-                    mean_final_fraction=float(fractions.mean()),
-                    sd_final_fraction=float(fractions.std(ddof=1)) if reps > 1 else 0.0,
-                    reps=reps,
-                )
-            )
-    return rows
+    with ThreadPoolExecutor(max_workers=worker_count(len(jobs))) as pool:
+        fractions = np.array(list(pool.map(one_rep, jobs))).reshape(len(ratios), reps)
+    return [
+        SweepRow(
+            ratio=float(ratio),
+            beta=float(beta),
+            mu=float(mu),
+            mean_final_fraction=float(row.mean()),
+            sd_final_fraction=float(row.std(ddof=1)) if reps > 1 else 0.0,
+            reps=reps,
+        )
+        for ratio, beta, row in zip(ratios, betas, fractions)
+    ]

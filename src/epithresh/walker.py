@@ -126,9 +126,7 @@ class LocalOracle(GraphOracle):
         return self._deg.__getitem__, neighbor
 
 
-def local_oracle(g: Graph) -> LocalOracle:
-    """Wrap a Graph as an in-memory oracle."""
-    return LocalOracle(g)
+local_oracle = LocalOracle
 
 
 class _Walk:

@@ -129,9 +129,15 @@ class TestWalkCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["r"] == payload["sample_size_plan"]["r"]
 
-    def test_walk_requires_exactly_one_source(self, edge_file):
+    def test_walk_requires_exactly_one_source(self, edge_file, capsys):
         assert run_cli("walk", "--in", edge_file, "--remote", "h:1", "--r", "5") == 2
         assert run_cli("walk", "--r", "5") == 2
+        assert "exactly one of --in or --remote" in capsys.readouterr().err
+        # both remote refusals come before any connection is attempted
+        assert run_cli("walk", "--remote", "127.0.0.1:1") == 2
+        assert "--r is required with --remote" in capsys.readouterr().err
+        assert run_cli("walk", "--remote", "localhost", "--r", "5") == 2
+        assert "address must look like host:port, got 'localhost'" in capsys.readouterr().err
 
     def test_walk_remote_matches_local(self, edge_file, capsys, monkeypatch):
         from epithresh.service import remote_oracle, serve_oracle
@@ -256,7 +262,11 @@ class TestHarnessCommands:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["reps"] == 2
-        assert (tmp_path / "bench" / "records.csv").exists()
+        header = [line for line in (tmp_path / "bench" / "records.csv").read_text().splitlines()
+                  if line.startswith("#")]
+        # the benchmark runs no walks, so no walk settings are claimed
+        assert "# n=300 seed=5" in header
+        assert not any("thin=" in line or "budget_fractions" in line for line in header)
 
     def test_experiment_deterministic_files(self, tmp_path, capsys):
         argv = [

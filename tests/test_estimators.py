@@ -212,6 +212,23 @@ class TestSampleSize:
         with pytest.raises(ValueError):
             sample_size(stats, gap=0.0, eps=0.5, delta=0.1)
 
+    @pytest.mark.parametrize(
+        "eps, delta, message",
+        [
+            (0.0, 0.1, r"eps must lie in \(0, 1\], got 0.0"),
+            (1.5, 0.1, r"eps must lie in \(0, 1\], got 1.5"),
+            (0.5, 0.0, r"delta must lie in \(0, 1\), got 0.0"),
+            (0.5, 1.0, r"delta must lie in \(0, 1\), got 1.0"),
+        ],
+    )
+    def test_accuracy_range_errors(self, eps, delta, message):
+        with pytest.raises(ValueError, match=message):
+            sample_size(degree_stats(cycle_graph(10)), gap=0.5, eps=eps, delta=delta)
+
+    def test_edgeless_stats_error(self):
+        with pytest.raises(ValueError, match="undefined on an edgeless graph"):
+            sample_size(degree_stats(build_graph([], 3)), gap=0.5, eps=0.5, delta=0.1)
+
     def test_r_at_least_one(self):
         stats = degree_stats(cycle_graph(10))
         plan = sample_size(stats, gap=1.0, eps=1.0, delta=0.999999)

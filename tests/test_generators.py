@@ -60,6 +60,21 @@ class TestPowerLawExpectedDegrees:
         assert np.array_equal(a.delta, b.delta)
 
 
+class TestUniformExpectedDegrees:
+    @pytest.mark.parametrize(
+        "n, low, high, message",
+        [
+            (0, 1.0, 2.0, "need a positive node count, got 0"),
+            (-3, 1.0, 2.0, "need a positive node count, got -3"),
+            (10, 3.0, 2.0, r"need 0 < low <= high, got \[3.0, 2.0\]"),
+            (10, 0.0, 2.0, r"need 0 < low <= high, got \[0.0, 2.0\]"),
+        ],
+    )
+    def test_validation(self, n, low, high, message):
+        with pytest.raises(ValueError, match=message):
+            uniform_expected_degrees(n, low, high, seed=0)
+
+
 class TestExpectedDegrees:
     def test_moments(self):
         ed = ed_of(1, 2, 3)

@@ -61,6 +61,20 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="out of range"):
             build_graph([(-1, 0)], 3)
 
+    @pytest.mark.parametrize(
+        "edges, n, message",
+        [
+            ([], -1, "node count must be nonnegative, got -1"),
+            ([(0, 1, 2)], 3, r"sequence of \(u, v\) pairs"),
+            ([0, 1], 3, r"sequence of \(u, v\) pairs"),
+            (np.zeros((2, 2, 2), dtype=np.int64), 3, r"sequence of \(u, v\) pairs"),
+        ],
+        ids=["n=-1", "triple", "flat", "3-d"],
+    )
+    def test_malformed_input_refused(self, edges, n, message):
+        with pytest.raises(ValueError, match=message):
+            build_graph(edges, n)
+
     def test_symmetry_and_sorted_neighbors(self):
         g = random_graph(40, 0.15, seed=5)
         for u in range(g.n):

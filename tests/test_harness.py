@@ -60,6 +60,10 @@ class TestBenchmark:
                 relative_error(rec.t1, rec.lambda_a), abs=1e-15
             )
 
+    def test_zero_reps_rejected(self):
+        with pytest.raises(ValueError, match="at least one replication"):
+            run_t1_benchmark(300, reps=0, seed=1)
+
 
 class TestSyntheticExperiment:
     def test_deterministic_outputs(self, tmp_path):

@@ -129,6 +129,10 @@ class TestSpectralGap:
         with pytest.raises(DisconnectedGraphError):
             spectral_gap(g)
 
+    def test_edgeless_errors(self):
+        with pytest.raises(ValueError, match="spectral_gap requires a nonempty graph"):
+            spectral_gap(build_graph([], 3))
+
 
 class TestLanczosCertificate:
     @pytest.mark.filterwarnings("ignore:chung_lu_sample_fast")
@@ -228,6 +232,20 @@ class TestMixingTime:
     def test_odd_cycle_allowed(self):
         t = tv_mixing_time(cycle_graph(5), start=0, threshold=0.1)
         assert t > 0
+
+    @pytest.mark.parametrize(
+        "edges, n, start, error, message",
+        [
+            ([], 3, 0, ValueError, "undefined on an edgeless graph"),
+            ([(0, 1), (1, 2), (2, 0)], 3, 3, ValueError, r"start node 3 out of range \[0, 3\)"),
+            ([(0, 1), (1, 2), (2, 0)], 3, -1, ValueError, r"start node -1 out of range"),
+            ([(0, 1), (1, 2), (2, 0), (3, 4)], 5, 0, DisconnectedGraphError, "disconnected"),
+        ],
+        ids=["edgeless", "start=n", "start=-1", "disconnected"],
+    )
+    def test_invalid_input_errors(self, edges, n, start, error, message):
+        with pytest.raises(error, match=message):
+            tv_mixing_time(build_graph(edges, n), start=start, threshold=0.1)
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="5000"):

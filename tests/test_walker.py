@@ -231,6 +231,11 @@ class TestErrorCurve:
         with pytest.raises(ValueError):
             error_curve(local_oracle(cycle_graph(3)), 1.0, 1.0, [], [1], t_star=0)
 
+    @pytest.mark.parametrize("budgets", [[0], [2, -1]])
+    def test_nonpositive_budget_rejected(self, budgets):
+        with pytest.raises(ValueError, match="budgets must be positive node counts"):
+            error_curve(local_oracle(cycle_graph(3)), 1.0, 1.0, [0], budgets, t_star=0)
+
     @pytest.mark.parametrize(
         "t_star,thin,message",
         [(0, 0, "thinning must be at least 1"), (-4, 10, "burn-in must be nonnegative")],
