@@ -173,8 +173,11 @@ def threshold_sweep(
 
     Each replication infects one uniformly random initial node. The
     replications of every ratio run as one job list on one thread pool, so
-    no worker waits for a ratio's slowest run. ``lam`` short-circuits the
-    spectral radius if the caller already has it.
+    no worker waits for a ratio's slowest run. With one worker the jobs run
+    in the calling thread, reusing heap the caller has freed; a pool thread
+    would take its temporaries from a second malloc arena and grow the
+    process. ``lam`` short-circuits the spectral radius if the caller
+    already has it.
     """
     if not ratios:
         raise ValueError("need at least one ratio")
@@ -199,8 +202,13 @@ def threshold_sweep(
         )
         return traj.final_fraction
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(jobs))) as pool:
-        fractions = np.array(list(pool.map(one_rep, jobs))).reshape(len(ratios), reps)
+    workers = worker_count(len(jobs))
+    if workers == 1:
+        results = list(map(one_rep, jobs))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one_rep, jobs))
+    fractions = np.array(results).reshape(len(ratios), reps)
     return [
         SweepRow(
             ratio=float(ratio),

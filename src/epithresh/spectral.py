@@ -3,11 +3,14 @@
 The spectral radius is the reference quantity the cheap estimators are
 judged against; the gap of the degree-normalized adjacency controls how
 many random-walk samples are needed. Both come from one Lanczos solver
-that keeps O(n) vectors and no Krylov basis. It stops on the Ritz
-residual |beta_k s_k|, which bounds the distance from the reported value
-to an eigenvalue of the operator (Paige, 1980), so ``converged`` is a
-certificate rather than a stalled estimate. Bipartite +/- eigenvalue
-pairs do not slow it down.
+that keeps O(n) vectors and no Krylov basis; its matvec gathers one row
+block of at most 2^18 neighbour entries at a time (a node of higher degree
+is a block of its own), so a solve holds O(n) plus one 2 MiB block however
+many edges the graph has. It stops on the Ritz residual |beta_k s_k|,
+which bounds the distance from the reported value to an eigenvalue of
+the operator (Paige, 1980), so ``converged`` is a certificate rather
+than a stalled estimate. Bipartite +/- eigenvalue pairs do not slow it
+down.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ DEFAULT_MAX_ITERS = 100_000
 _KRYLOV_CAP = 512  # longest Lanczos tridiagonal kept before a restart
 _BREAKDOWN = 1e-12  # beta_k at or below this times ||T_k|| is an invariant subspace
 _EPS = float(np.finfo(np.float64).eps)
+
+_MATVEC_BLOCK = 1 << 18  # neighbour entries one matvec gathers at once (2 MiB of float64)
 
 _MIXING_STEP_CAP = 1_000_000
 _MIXING_DENSE_LIMIT = 5000
@@ -98,16 +103,40 @@ class SpectralGap:
     converged: bool
 
 
-def adjacency_matvec(g: Graph, x: np.ndarray) -> np.ndarray:
-    """y = A x for the graph adjacency, via segmented reduction over CSR."""
-    out = np.zeros(g.n, dtype=np.float64)
-    if g.neighbors.size == 0:
+def _adjacency_operator(g: Graph) -> Matvec:
+    """``x -> A x`` for the graph adjacency, by segmented reduction over CSR row blocks.
+
+    The rows are cut once, at row boundaries, into blocks of at most
+    _MATVEC_BLOCK neighbour entries; a longer row is a block of its own.
+    Each call gathers and reduces one block at a time, so it holds O(n)
+    plus one block. ``reduceat`` sums every row's segment in CSR order, so
+    the result does not depend on where the rows are cut.
+    """
+    offsets, degrees, neighbors = g.offsets, g.degrees, g.neighbors
+    bounds = []  # (first row, end row) of each block with entries
+    r0 = 0
+    while r0 < g.n:
+        # the last row boundary at most one block past r0's start
+        end = int(np.searchsorted(offsets, offsets[r0] + _MATVEC_BLOCK, "right")) - 1
+        r1 = max(r0 + 1, end)
+        if offsets[r1] > offsets[r0]:
+            bounds.append((r0, r1))
+        r0 = r1
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(g.n, dtype=np.float64)
+        for r0, r1 in bounds:
+            a, b = offsets[r0], offsets[r1]
+            nz = degrees[r0:r1] > 0
+            out[r0:r1][nz] = np.add.reduceat(x[neighbors[a:b]], offsets[r0:r1][nz] - a)
         return out
-    gathered = x[g.neighbors]
-    nonzero = g.degrees > 0
-    starts = g.offsets[:-1][nonzero]
-    out[nonzero] = np.add.reduceat(gathered, starts)
-    return out
+
+    return matvec
+
+
+def adjacency_matvec(g: Graph, x: np.ndarray) -> np.ndarray:
+    """y = A x for the graph adjacency (see :func:`_adjacency_operator`)."""
+    return _adjacency_operator(g)(x)
 
 
 def _two_coloring(g: Graph, parity: np.ndarray) -> np.ndarray | None:
@@ -263,7 +292,7 @@ def spectral_radius(
         raise ValueError("spectral_radius requires a nonempty graph with at least one edge")
     x0 = np.random.default_rng(seed).uniform(0.5, 1.5, g.n)
     value, iterations, residual, converged = _top_eigenpair(
-        lambda x: adjacency_matvec(g, x), x0, tol, max_iters
+        _adjacency_operator(g), x0, tol, max_iters
     )
     return SpectralResult(value, iterations, residual, converged)
 
@@ -292,9 +321,10 @@ def spectral_gap(
         )
     sqrt_d = np.sqrt(g.degrees.astype(np.float64))
     top = sqrt_d / np.linalg.norm(sqrt_d)
+    adjacency = _adjacency_operator(g)
 
     def normalized_matvec(x: np.ndarray) -> np.ndarray:
-        return adjacency_matvec(g, x / sqrt_d) / sqrt_d
+        return adjacency(x / sqrt_d) / sqrt_d
 
     x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, g.n)
     estimate, iterations, residual, converged = _top_eigenpair(
@@ -346,10 +376,11 @@ def tv_mixing_time(g: Graph, start: int, threshold: float | None = None) -> int:
     deg = g.degrees.astype(np.float64)
     q = np.zeros(g.n, dtype=np.float64)
     q[start] = 1.0
+    adjacency = _adjacency_operator(g)
     for t in range(_MIXING_STEP_CAP + 1):
         if float(np.abs(q - pi).sum()) <= threshold:
             return t
-        q = adjacency_matvec(g, q / deg)  # A is symmetric: q Q == A (q / d)
+        q = adjacency(q / deg)  # A is symmetric: q Q == A (q / d)
     raise RuntimeError(
         f"TV distance did not reach {threshold} within {_MIXING_STEP_CAP} steps"
     )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epithresh import sir
 from epithresh.generators import chung_lu_sample_fast, uniform_expected_degrees
 from epithresh.graph import build_graph, largest_component
 from epithresh.sir import SirParams, sir_simulate, threshold_sweep, worker_count
@@ -149,13 +150,18 @@ class TestThresholdSweep:
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         g = random_connected_graph(150, seed=4, extra_edges=120)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert worker_count(8) == 1
-        sequential = threshold_sweep(g, [0.5, 2.0], reps=8, seed=5)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert worker_count(8) == 3
         threaded = threshold_sweep(g, [0.5, 2.0], reps=8, seed=5)
-        assert sequential == threaded
+        # one worker runs the jobs in the calling thread, with no pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_count(8) == 1
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker sweep started a thread pool")
+
+        monkeypatch.setattr(sir, "ThreadPoolExecutor", no_pool)
+        assert threshold_sweep(g, [0.5, 2.0], reps=8, seed=5) == threaded
 
     def test_worker_count_is_cpus_capped_by_reps(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)

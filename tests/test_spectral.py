@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epithresh import spectral
-from epithresh.generators import chung_lu_sample_fast, power_law_expected_degrees
+from epithresh.generators import (
+    chung_lu_sample_fast,
+    power_law_expected_degrees,
+    uniform_expected_degrees,
+)
 from epithresh.graph import _components, build_graph, degree_stats, largest_component
 from epithresh.spectral import (
     BipartiteGraphError,
@@ -19,9 +23,24 @@ from epithresh.spectral import (
     tv_mixing_time,
 )
 
-from conftest import cycle_graph, path_graph, random_graph
+from conftest import (
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    random_graph,
+    traced_peak,
+)
 import oracles
 from oracles import dense_adjacency, exact_walk_distribution, jacobi_spectral_radius
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs on 1..40 nodes from up to 120 random pairs: isolated nodes,
+    repeated pairs and self-loops (dropped by the build) and uneven degrees."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    return build_graph(draw(st.lists(st.tuples(node, node), max_size=120)), n)
 
 
 def dense_normalized_eigenvalues(g) -> np.ndarray:
@@ -93,6 +112,49 @@ class TestSpectralRadius:
         g = build_graph([(0, 1), (2, 3), (3, 4)], 6)  # includes isolated node 5
         x = np.arange(6, dtype=float) + 1
         assert np.allclose(adjacency_matvec(g, x), dense_adjacency(g) @ x)
+
+    @given(
+        g=sparse_graphs(),
+        block=st.sampled_from([1, 2, 3, 7, spectral._MATVEC_BLOCK]),
+        seed=st.integers(0, 99),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_blocked_matvec_equals_one_gather(self, g, block, seed):
+        # rows straddle the cuts, rows run longer than a block, and blocks of
+        # isolated nodes hold no entries
+        x = np.random.default_rng(seed).standard_normal(g.n)
+        want = np.zeros(g.n)
+        nz = g.degrees > 0
+        if g.m:
+            want[nz] = np.add.reduceat(x[g.neighbors], g.offsets[:-1][nz])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_MATVEC_BLOCK", block)
+            assert np.array_equal(adjacency_matvec(g, x), want)
+
+    def test_solvers_do_not_depend_on_the_block(self, monkeypatch):
+        g = random_connected_graph(400, seed=9, extra_edges=800)
+        assert spectral.bipartite_coloring(g) is None
+        want = (spectral_radius(g), spectral_gap(g), tv_mixing_time(g, 0))
+        monkeypatch.setattr(spectral, "_MATVEC_BLOCK", 37)
+        assert 2 * g.m > 40 * spectral._MATVEC_BLOCK  # dozens of blocks
+        assert (spectral_radius(g), spectral_gap(g), tv_mixing_time(g, 0)) == want
+
+    def test_matvec_memory_does_not_grow_with_edges(self, monkeypatch):
+        # out, one block's gather, and at most three row-sized temporaries of
+        # the block (its row starts, their shift, the row sums), plus 16 KiB
+        # for the block bounds
+        block = 1 << 12
+        monkeypatch.setattr(spectral, "_MATVEC_BLOCK", block)
+        n = 2_000
+        small = chung_lu_sample_fast(uniform_expected_degrees(n, 6.0, 14.0, seed=1), 2)
+        large = chung_lu_sample_fast(uniform_expected_degrees(n, 80.0, 120.0, seed=3), 4)
+        assert large.m >= 8 * small.m and 2 * small.m > block
+        bound = 8 * (4 * n + block) + (16 << 10)
+        for g in (small, large):
+            x = np.ones(g.n)
+            y, peak = traced_peak(lambda: adjacency_matvec(g, x))
+            assert np.array_equal(y, g.degrees)
+            assert peak <= bound
 
 
 class TestSpectralGap:
