@@ -151,15 +151,13 @@ def _cmd_exact(args) -> int:
 
 def _cmd_estimate(args) -> int:
     g = read_edge_list(args.infile)
-    moment = t1_estimate(g)
-    _emit({"t1": moment.t1, "m1": moment.m1, "m2": moment.m2}, args.out)
+    _emit(asdict(t1_estimate(g)), args.out)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     g = read_edge_list(args.infile)
-    stats = degree_stats(g)
-    positive = stats.degrees[stats.degrees > 0].astype(np.float64)
+    positive = g.degrees[g.degrees > 0].astype(np.float64)
     ed = expected_degrees(positive)
     hoeffding = hoeffding_m1_bound(ed, args.eps)
     radcliffe = chung_radcliffe_bound(ed, args.delta)

@@ -113,23 +113,16 @@ class BuildReport:
 
 @dataclass(frozen=True)
 class DegreeStats:
-    """Exact integer degree statistics of a graph.
+    """The degree statistics a walk plan reads (``estimators.sample_size``).
 
     ``m1 = sum(d_i)`` and ``m2 = sum(d_i**2)`` are exact Python ints (see
-    ``_degree_moments``). ``d_min`` ranges over nodes with positive degree only.
+    ``_degree_moments``); ``d_max`` is 0 for an empty graph.
     """
 
     n: int
-    degrees: np.ndarray
     m1: int
     m2: int
     d_max: int
-    d_min: int
-    isolated_count: int
-
-    @property
-    def mean_degree(self) -> float:
-        return self.m1 / self.n if self.n else 0.0
 
 
 def _exact_sum(values: np.ndarray) -> int:
@@ -243,19 +236,9 @@ def _degree_moments(g: Graph) -> tuple[int, int]:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    """Exact degree moments m1, m2 plus extremes and isolated-node count."""
-    deg = g.degrees
+    """Exact degree moments m1, m2 and the largest degree."""
     m1, m2 = _degree_moments(g)
-    positive = deg[deg > 0]
-    return DegreeStats(
-        n=g.n,
-        degrees=deg,
-        m1=m1,
-        m2=m2,
-        d_max=int(deg.max()) if g.n else 0,
-        d_min=int(positive.min()) if positive.size else 0,
-        isolated_count=int((deg == 0).sum()),
-    )
+    return DegreeStats(n=g.n, m1=m1, m2=m2, d_max=int(g.degrees.max()) if g.n else 0)
 
 
 def _frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:

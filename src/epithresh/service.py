@@ -4,12 +4,11 @@ This materializes the node-query cost model: a walker on one machine pays
 per degree/neighbor lookup against the graph held elsewhere. The protocol
 is deliberately tiny - one LF-terminated request per line:
 
-    "N"           ->  "<node count>"
-    "DEG <v>"     ->  "<degree of v>"
-    "NBR <v> <k>" ->  "<k-th sorted neighbor of v>"
-    "STEP <v> <k>" -> "<u> <degree of u>", u the k-th sorted neighbor of v
-    "STATS"       ->  the server's counters, nine integers (STATS_FIELDS)
-    anything bad  ->  "ERR <reason>"
+    "N"            ->  "<node count>"
+    "DEG <v>"      ->  "<degree of v>"
+    "STEP <v> <k>" ->  "<u> <degree of u>", u the k-th sorted neighbor of v
+    "STATS"        ->  the server's counters, eight integers (STATS_FIELDS)
+    anything bad   ->  "ERR <reason>"
 
 Lines hold at most _MAX_LINE bytes: a longer request gets "ERR line-too-long"
 and the connection is closed; a longer reply raises OracleProtocolError.
@@ -51,15 +50,18 @@ __all__ = [
 
 _ENCODING = "ascii"
 # The longest valid request, "STEP" and two 19-digit ids, is 45 bytes with its
-# newline. The longest valid reply is STATS: nine counts below 10^12 take at
-# most 117 bytes with their spaces and newline.
+# newline. The longest valid reply is STATS: eight counts below 10^12 take at
+# most 104 bytes with their spaces and newline.
 _MAX_LINE = 128
 _MAX_CONNECTIONS = 64
 _IDLE_TIMEOUT_S = 60
+# The serving thread checks for shutdown this often, so stop() waits up to
+# this long.
+_POLL_S = 0.05
 
 # The STATS reply, in order: requests per command, error replies, connections
 # accepted and refused as busy, and the total time spent answering requests.
-_COMMANDS = ("N", "DEG", "NBR", "STEP", "STATS")
+_COMMANDS = ("N", "DEG", "STEP", "STATS")
 STATS_FIELDS = _COMMANDS + ("errors", "accepted", "busy", "service_us")
 
 
@@ -76,7 +78,11 @@ def _read_line(rfile) -> bytes | None:
 
 
 def handle_request(oracle: LocalOracle, line: str) -> str:
-    """Answer one protocol request through a LocalOracle; never raises."""
+    """Answer one N, DEG or STEP request through a LocalOracle; never raises.
+
+    Any other command is "ERR unknown-command"; the connection handler
+    answers STATS itself.
+    """
     parts = line.split()
     if not parts:
         return "ERR empty-request"
@@ -86,9 +92,9 @@ def handle_request(oracle: LocalOracle, line: str) -> str:
             return str(oracle.node_count())
         if cmd == "DEG" and len(parts) == 2:
             return str(oracle.degree(int(parts[1])))
-        if cmd in ("NBR", "STEP") and len(parts) == 3:
+        if cmd == "STEP" and len(parts) == 3:
             u = oracle.neighbor(int(parts[1]), int(parts[2]))
-            return str(u) if cmd == "NBR" else f"{u} {oracle.degree(u)}"
+            return f"{u} {oracle.degree(u)}"
     except ValueError:
         return "ERR malformed-arguments"
     except IndexError:
@@ -164,7 +170,7 @@ class OracleServer(socketserver.ThreadingTCPServer):
         self._slots = threading.BoundedSemaphore(_MAX_CONNECTIONS)
         super().__init__(address, _Handler)
         self._thread = threading.Thread(
-            target=self.serve_forever, name="oracle-server", daemon=True
+            target=self.serve_forever, args=(_POLL_S,), name="oracle-server", daemon=True
         )
         self._thread.start()
 

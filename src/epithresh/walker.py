@@ -107,10 +107,10 @@ class LocalOracle(GraphOracle):
         return self._deg[v]
 
     def neighbor(self, v: int, k: int) -> int:
-        if not 0 <= v < self._n:
-            raise IndexError(f"node {v} out of range [0, {self._n})")
-        if not 0 <= k < self._deg[v]:
-            raise IndexError(f"neighbor index {k} out of range [0, {self._deg[v]}) at node {v}")
+        # not self.degree: an override would see a degree query no caller made
+        d = LocalOracle.degree(self, v)
+        if not 0 <= k < d:
+            raise IndexError(f"neighbor index {k} out of range [0, {d}) at node {v}")
         return self._nbr[self._off[v] + k]
 
     def _walk_accessors(self) -> tuple[Callable[[int], int], Callable[[int, int], int]]:

@@ -115,6 +115,20 @@ class TestExactAndEstimate:
         assert "not certified: Ritz residual" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("exact",), ("estimate", "t1"), ("sweep", "--ratios", "0.5,2.0", "--reps", "3")],
+    ids=["exact", "estimate", "sweep"],
+)
+def test_out_file_gets_the_stdout_bytes(edge_file, tmp_path, capsys, argv):
+    assert run_cli(*argv, "--in", edge_file) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--in", edge_file, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+
+
 class TestWalkCommand:
     def test_walk_fixed_r(self, edge_file, capsys):
         assert run_cli("walk", "--in", edge_file, "--r", "200", "--seed", "4") == 0

@@ -124,6 +124,10 @@ class TestHoeffdingBound:
         with pytest.raises(ValueError):
             hoeffding_m1_bound(ed_of(1.0), eps=0.5)
 
+    def test_negative_eps_errors(self):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            hoeffding_m1_bound(ed_of(1.0, 1.0), eps=-0.1)
+
 
 class TestChungRadcliffeBound:
     def test_spot_value(self):

@@ -90,6 +90,11 @@ class TestExpectedDegrees:
         with pytest.raises(ValueError):
             ed_of(1.0, 0.0)
 
+    @pytest.mark.parametrize("delta", [np.empty(0), np.ones((2, 2))], ids=["empty", "2-d"])
+    def test_nonempty_vector_required(self, delta):
+        with pytest.raises(ValueError, match="must be a nonempty 1-d vector"):
+            expected_degrees(delta)
+
     def test_clamped_pair_count(self):
         # S = 12; products: 5*4=20>12, 5*2=10, 5*1=5, 4*2=8, ... one clamped pair
         assert count_clamped_pairs(ed_of(5, 4, 2, 1)) == 1

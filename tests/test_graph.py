@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from epithresh import graph as graph_module
 from epithresh.graph import (
+    DegreeStats,
     EdgeListParseError,
     Graph,
     _components,
@@ -156,10 +157,7 @@ class TestBuildGraph:
 
 class TestDegreeStats:
     def test_star(self):
-        s = degree_stats(star_graph(5))
-        assert (s.m1, s.m2, s.d_max) == (8, 20, 4)
-        assert s.d_min == 1
-        assert s.isolated_count == 0
+        assert degree_stats(star_graph(5)) == DegreeStats(n=5, m1=8, m2=20, d_max=4)
 
     def test_complete(self):
         s = degree_stats(complete_graph(4))
@@ -173,18 +171,18 @@ class TestDegreeStats:
         s = degree_stats(g)
         assert s.m1 == m1 == 2 * g.m
         assert s.m2 == m2
-        assert s.degrees.tolist() == degrees
+        assert g.degrees.tolist() == degrees
 
     def test_cauchy_schwarz(self):
         for seed in range(5):
             s = degree_stats(random_graph(25, 0.3, seed))
             assert s.m2 * s.n >= s.m1 * s.m1
 
-    def test_isolated_counting(self):
-        g = build_graph([(0, 1)], 4)
-        s = degree_stats(g)
-        assert s.isolated_count == 2
-        assert s.d_min == 1
+    def test_equal_graphs_have_equal_hashable_stats(self):
+        a = degree_stats(build_graph([(0, 1), (1, 2)], 4))
+        b = degree_stats(build_graph([(2, 1), (1, 0), (0, 1)], 4))
+        assert a == b
+        assert hash(a) == hash(b)
 
     def test_exact_sum_survives_int64_overflow(self):
         from epithresh.graph import _exact_sum

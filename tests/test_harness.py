@@ -150,6 +150,8 @@ class TestSyntheticExperiment:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             run_synthetic_experiment("erdos", 100, seed=0)
+        with pytest.raises(ValueError, match="unknown degree distribution 'lognormal'"):
+            harness.model_graph("chung-lu", 100, 0, {"deg_dist": "lognormal"})
 
     def test_bipartite_component_refused_at_even_thin(self):
         # a preferential-attachment tree is bipartite: with an even thin every

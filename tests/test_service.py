@@ -36,9 +36,8 @@ class TestProtocol:
     def test_degree(self, graph_with_degree_4_at_3):
         assert handle_request(graph_with_degree_4_at_3, "DEG 3") == "4"
 
-    def test_neighbor(self, graph_with_degree_4_at_3):
-        assert handle_request(graph_with_degree_4_at_3, "NBR 3 0") == "0"
-        assert handle_request(graph_with_degree_4_at_3, "NBR 3 3") == "4"
+    def test_retired_neighbor_request_is_unknown(self, graph_with_degree_4_at_3):
+        assert handle_request(graph_with_degree_4_at_3, "NBR 3 0") == "ERR unknown-command"
 
     def test_step(self, graph_with_degree_4_at_3):
         assert handle_request(graph_with_degree_4_at_3, "STEP 3 0") == "0 2"
@@ -46,7 +45,6 @@ class TestProtocol:
         assert handle_request(graph_with_degree_4_at_3, "STEP 4 0") == "3 4"
 
     def test_neighbor_out_of_range(self, graph_with_degree_4_at_3):
-        assert handle_request(graph_with_degree_4_at_3, "NBR 3 9") == "ERR out-of-range"
         assert handle_request(graph_with_degree_4_at_3, "DEG 99") == "ERR out-of-range"
         assert handle_request(graph_with_degree_4_at_3, "STEP 3 4") == "ERR out-of-range"
         assert handle_request(graph_with_degree_4_at_3, "STEP 5 0") == "ERR out-of-range"
@@ -96,10 +94,10 @@ class TestProtocolParity:
                 assert (u == "ERR out-of-range") == (not (inside and 0 <= k < degree))
                 if u != "ERR out-of-range":
                     assert u == g.neighbors_of(v)[k]
-                    expected[f"NBR {v} {k}"] = str(u)
                     expected[f"STEP {v} {k}"] = f"{u} {oracle.degree(u)}"
                 else:
-                    expected[f"NBR {v} {k}"] = expected[f"STEP {v} {k}"] = u
+                    expected[f"STEP {v} {k}"] = u
+                expected[f"NBR {v} {k}"] = "ERR unknown-command"
         for request, reply in expected.items():
             assert handle_request(oracle, request) == reply, request
         with serve_oracle(g) as server, socket.create_connection(server.address) as sock:
@@ -112,8 +110,9 @@ class TestProtocolParity:
 
 class _ScriptedServer(socketserver.ThreadingTCPServer):
     """A misbehaving oracle server: "N" gets ``n``, "DEG ..." gets ``degree``
-    and "STEP ..." gets ``step``. ``requests`` lists the command of every
-    request it answered."""
+    and "STEP ..." gets ``step``; a command whose entry in ``replies`` is None
+    is read and then answered by hanging up. ``requests`` lists the command of
+    every request it read."""
 
     daemon_threads = True
 
@@ -126,10 +125,13 @@ class _ScriptedServer(socketserver.ThreadingTCPServer):
                 for line in handler.rfile:
                     cmd = line.split()[0]
                     self.requests.append(cmd.decode())
-                    handler.wfile.write(self.replies.get(cmd, b"ERR unknown") + b"\n")
+                    reply = self.replies.get(cmd, b"ERR unknown")
+                    if reply is None:
+                        return  # hang up without replying
+                    handler.wfile.write(reply + b"\n")
 
         super().__init__(("127.0.0.1", 0), Handler)
-        threading.Thread(target=self.serve_forever, daemon=True).start()
+        threading.Thread(target=self.serve_forever, args=(service._POLL_S,), daemon=True).start()
 
     def __exit__(self, *exc):
         self.shutdown()
@@ -170,8 +172,8 @@ class TestRemoteOracle:
         steps = remote_report.total_steps
         assert remote.calls == remote_report.total_queries == 2 * steps
         # ... and the wire carried the handshake, one DEG and one STEP per step
-        wire = {cmd: stats[cmd] for cmd in ("N", "DEG", "NBR", "STEP", "STATS")}
-        assert wire == {"N": 1, "DEG": 1, "NBR": 0, "STEP": steps, "STATS": 0}
+        wire = {cmd: stats[cmd] for cmd in ("N", "DEG", "STEP", "STATS")}
+        assert wire == {"N": 1, "DEG": 1, "STEP": steps, "STATS": 0}
         assert (stats["errors"], stats["accepted"], stats["busy"]) == (0, 1, 0)
 
     def test_remote_counters(self):
@@ -266,13 +268,24 @@ class TestRemoteOracle:
                 with pytest.raises(OracleProtocolError, match="malformed STEP reply"):
                     random_walk_estimate(remote, WalkConfig(t_star=3, r=2))
 
-    @pytest.mark.parametrize("reply", ["1 2", "1 2 3 4 5 6 7 8 x", "1 2 3 4 5 6 7 8 -9"])
+    @pytest.mark.parametrize(
+        "reply",
+        ["1 2", "1 2 3 4 5 6 7 8 x", "1 2 3 4 5 6 7 8 -9", "1 2 3 4 5 6 7 x", "1 2 3 4 5 6 7 -8"],
+    )
     def test_malformed_stats_reply_raises(self, reply):
         with _ScriptedServer() as server:
             server.replies[b"STATS"] = reply.encode()
             with remote_oracle(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match="malformed STATS reply"):
                     remote.stats()
+
+    def test_hang_up_without_reply_raises(self):
+        with _ScriptedServer(n="5") as server:
+            server.replies[b"DEG"] = None
+            with remote_oracle(server.server_address, timeout=5) as remote:
+                with pytest.raises(OracleProtocolError, match="connection closed by oracle server"):
+                    remote.degree(0)
+            assert server.requests == ["N", "DEG"]
 
     def test_degree_of_other_nodes_goes_over_the_wire(self):
         with _ScriptedServer(degree="7", step="2 3") as server:
@@ -379,7 +392,7 @@ class TestServerLimits:
                     remote_oracle(server.address, timeout=5)
                 first = remote.stats()
                 second = remote.stats()
-        counts = {"N": 1, "DEG": 2, "NBR": 0, "STEP": 1, "STATS": 0,
+        counts = {"N": 1, "DEG": 2, "STEP": 1, "STATS": 0,
                   "errors": 1, "accepted": 1, "busy": 1}
         assert {k: first[k] for k in counts} == counts
         assert first["service_us"] > 0
