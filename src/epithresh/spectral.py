@@ -3,10 +3,14 @@
 The spectral radius is the reference quantity the cheap estimators are
 judged against; the gap of the degree-normalized adjacency controls how
 many random-walk samples are needed. Both come from one Lanczos solver
-that keeps O(n) vectors and no Krylov basis; its matvec gathers one row
-block of at most 2^18 neighbour entries at a time (a node of higher degree
-is a block of its own), so a solve holds O(n) plus one 2 MiB block however
-many edges the graph has. It stops on the Ritz residual |beta_k s_k|,
+that keeps O(n) vectors and no Krylov basis. Its matvec sums the rows of
+at most 8 entries one column at a time from an int64 index of their
+neighbours (8 B per such entry), and the longer rows by ``reduceat`` over
+row blocks of at most 2^18 neighbour entries (a node of higher degree is a
+block of its own), so a solve holds O(n), that index and one 2 MiB block
+however many edges the graph has. Both paths add a row's entries in the
+order one ``reduceat`` over all rows does, so every product is
+bit-identical to it. The solver stops on the Ritz residual |beta_k s_k|,
 which bounds the distance from the reported value to an eigenvalue of
 the operator (Paige, 1980), so ``converged`` is a certificate rather
 than a stalled estimate. Bipartite +/- eigenvalue pairs do not slow it
@@ -46,6 +50,7 @@ _BREAKDOWN = 1e-12  # beta_k at or below this times ||T_k|| is an invariant subs
 _EPS = float(np.finfo(np.float64).eps)
 
 _MATVEC_BLOCK = 1 << 18  # neighbour entries one matvec gathers at once (2 MiB of float64)
+_LIGHT = 8  # numpy's pairwise-sum block; rows of at most this many entries are summed by column
 
 _MIXING_STEP_CAP = 1_000_000
 _MIXING_DENSE_LIMIT = 5000
@@ -104,22 +109,50 @@ class SpectralGap:
 
 
 def _adjacency_operator(g: Graph) -> Matvec:
-    """``x -> A x`` for the graph adjacency, by segmented reduction over CSR row blocks.
+    """``x -> A x`` for the graph adjacency, bit-identical to one ``reduceat`` over CSR rows.
 
-    The rows are cut once, at row boundaries, into blocks of at most
-    _MATVEC_BLOCK neighbour entries; a longer row is a block of its own.
-    Each call gathers and reduces one block at a time, so it holds O(n)
-    plus one block. ``reduceat`` sums every row's segment in CSR order, so
-    the result does not depend on where the rows are cut.
+    ``np.add.reduceat`` sums a row of d <= _LIGHT entries as
+    ``a0 + (((a1 + a2) + a3) + ...)``; above that it switches to numpy's
+    8-accumulator pairwise sum. The operator keeps two things, built once:
+
+    - Light rows (1 to _LIGHT entries), sorted by degree, descending and
+      stable, as up to _LIGHT int64 columns: column j holds neighbour j of
+      every light row with more than j neighbours, a prefix of the sorted
+      rows.
+      A call sums columns 1.. left to right and adds column 0 last, the
+      order ``reduceat`` uses, with no per-row cost.
+    - Heavy rows, by ``reduceat`` over row blocks of at most _MATVEC_BLOCK
+      neighbour entries (a longer row is a block of its own), so a call
+      holds O(n) plus one block. A one-byte-per-row mask marks the segment
+      starts: each heavy row and the next nonempty row after it. Every
+      heavy row's sum is thus its own segment in CSR order; the other sums
+      land on light rows, which the light pass overwrites.
+
+    Degree-0 rows are in neither and stay 0.
     """
     offsets, degrees, neighbors = g.offsets, g.degrees, g.neighbors
-    bounds = []  # (first row, end row) of each block with entries
+    nonempty = np.flatnonzero(degrees)
+    heavy = degrees[nonempty] > _LIGHT
+    starts = np.zeros(g.n, dtype=bool)
+    starts[nonempty[heavy]] = True
+    starts[nonempty[1:][heavy[:-1]]] = True
+    light = nonempty[~heavy]
+    light = light[np.argsort(-degrees[light], kind="stable")]
+    light_degrees, row_starts = degrees[light], offsets[light]
+    columns = []  # column j: neighbour j of the light rows of degree > j
+    for j in range(_LIGHT):
+        k = int(np.count_nonzero(light_degrees > j))
+        if k == 0:
+            break
+        columns.append(neighbors[row_starts[:k] + j])
+
+    bounds = []  # (first row, end row) of each block with a segment start
     r0 = 0
     while r0 < g.n:
         # the last row boundary at most one block past r0's start
         end = int(np.searchsorted(offsets, offsets[r0] + _MATVEC_BLOCK, "right")) - 1
         r1 = max(r0 + 1, end)
-        if offsets[r1] > offsets[r0]:
+        if starts[r0:r1].any():
             bounds.append((r0, r1))
         r0 = r1
 
@@ -127,15 +160,28 @@ def _adjacency_operator(g: Graph) -> Matvec:
         out = np.zeros(g.n, dtype=np.float64)
         for r0, r1 in bounds:
             a, b = offsets[r0], offsets[r1]
-            nz = degrees[r0:r1] > 0
-            out[r0:r1][nz] = np.add.reduceat(x[neighbors[a:b]], offsets[r0:r1][nz] - a)
+            s = starts[r0:r1]
+            out[r0:r1][s] = np.add.reduceat(x[neighbors[a:b]], offsets[r0:r1][s] - a)
+        if columns:
+            acc = x[columns[0]]
+            if len(columns) > 1:
+                rest = x[columns[1]]
+                for c in columns[2:]:
+                    rest[: len(c)] += x[c]
+                acc[: len(rest)] += rest
+            out[light] = acc
         return out
 
     return matvec
 
 
 def adjacency_matvec(g: Graph, x: np.ndarray) -> np.ndarray:
-    """y = A x for the graph adjacency (see :func:`_adjacency_operator`)."""
+    """y = A x for the graph adjacency (see :func:`_adjacency_operator`).
+
+    Raises ValueError unless ``x`` has shape ``(g.n,)``.
+    """
+    if np.shape(x) != (g.n,):
+        raise ValueError(f"x must have shape ({g.n},), got {np.shape(x)}")
     return _adjacency_operator(g)(x)
 
 

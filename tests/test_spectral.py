@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epithresh import spectral
@@ -37,16 +37,59 @@ from oracles import dense_adjacency, exact_walk_distribution, jacobi_spectral_ra
 @st.composite
 def sparse_graphs(draw):
     """Graphs on 1..40 nodes from up to 120 random pairs: isolated nodes,
-    repeated pairs and self-loops (dropped by the build) and uneven degrees."""
+    repeated pairs and self-loops (dropped by the build) and uneven degrees.
+    Up to three hubs each join the next 0..16 nodes, so rows run on both
+    sides of ``spectral._LIGHT`` entries."""
     n = draw(st.integers(1, 40))
     node = st.integers(0, n - 1)
-    return build_graph(draw(st.lists(st.tuples(node, node), max_size=120)), n)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=120))
+    hubs = draw(st.lists(st.tuples(node, st.integers(0, 16)), max_size=3))
+    pairs += [(h, (h + i) % n) for h, k in hubs for i in range(1, k + 1)]
+    return build_graph(pairs, n)
 
 
 def dense_normalized_eigenvalues(g) -> np.ndarray:
     """Ascending eigenvalues of D^-1/2 A D^-1/2 by dense numpy.linalg.eigvalsh."""
     inv_sqrt = 1.0 / np.sqrt(dense_adjacency(g).sum(axis=1))
     return np.linalg.eigvalsh(inv_sqrt[:, None] * dense_adjacency(g) * inv_sqrt[None, :])
+
+
+# Row 0 has 9 entries and is followed by the isolated rows 1, 2 and the
+# light row 3; row 4 has exactly 8; the heavy row 28 is followed only by the
+# isolated row 29. At blocks of fewer than 9 entries each heavy row is a
+# block of its own, so it is last in its block.
+LIGHT_AND_HEAVY = build_graph(
+    [(0, v) for v in range(10, 19)]
+    + [(3, v) for v in range(10, 13)]
+    + [(4, v) for v in range(10, 18)]
+    + [(5, v) for v in range(19, 28)]
+    + [(28, v) for v in range(19, 28)],
+    30,
+)
+
+
+def signed_zeros_and_magnitudes(n: int, seed: int) -> np.ndarray:
+    """Normal entries scaled by 10^-8..10^8, a fifth of them +0.0 and a fifth
+    -0.0, so that any change in the order of a row's additions shows."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    x[rng.random(n) < 0.2] = 0.0
+    x[rng.random(n) < 0.25] = -0.0
+    return x
+
+
+def one_reduceat(g, x: np.ndarray) -> np.ndarray:
+    """A x by one ``np.add.reduceat`` over every nonempty CSR row."""
+    want = np.zeros(g.n)
+    nz = g.degrees > 0
+    if g.m:
+        want[nz] = np.add.reduceat(x[g.neighbors], g.offsets[:-1][nz])
+    return want
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def complete_bipartite(a: int, b: int):
@@ -118,18 +161,24 @@ class TestSpectralRadius:
         block=st.sampled_from([1, 2, 3, 7, spectral._MATVEC_BLOCK]),
         seed=st.integers(0, 99),
     )
+    @example(g=LIGHT_AND_HEAVY, block=1, seed=0)
+    @example(g=LIGHT_AND_HEAVY, block=3, seed=1)
+    @example(g=LIGHT_AND_HEAVY, block=7, seed=2)
     @settings(max_examples=300, deadline=None)
     def test_blocked_matvec_equals_one_gather(self, g, block, seed):
-        # rows straddle the cuts, rows run longer than a block, and blocks of
-        # isolated nodes hold no entries
-        x = np.random.default_rng(seed).standard_normal(g.n)
-        want = np.zeros(g.n)
-        nz = g.degrees > 0
-        if g.m:
-            want[nz] = np.add.reduceat(x[g.neighbors], g.offsets[:-1][nz])
+        # rows straddle the cuts, rows run longer than a block, blocks of
+        # isolated nodes hold no entries, and rows of up to and over _LIGHT
+        # entries take the column and the reduceat paths
+        x = signed_zeros_and_magnitudes(g.n, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_MATVEC_BLOCK", block)
-            assert np.array_equal(adjacency_matvec(g, x), want)
+            assert_same_bits(adjacency_matvec(g, x), one_reduceat(g, x))
+
+    @pytest.mark.parametrize("bad", [(9,), (11,), (10, 1), ()])
+    def test_matvec_refuses_a_wrong_sized_vector(self, bad):
+        g = path_graph(10)
+        with pytest.raises(ValueError, match=r"shape \(10,\)"):
+            adjacency_matvec(g, np.ones(bad))
 
     def test_solvers_do_not_depend_on_the_block(self, monkeypatch):
         g = random_connected_graph(400, seed=9, extra_edges=800)
@@ -151,6 +200,23 @@ class TestSpectralRadius:
         assert large.m >= 8 * small.m and 2 * small.m > block
         bound = 8 * (4 * n + block) + (16 << 10)
         for g in (small, large):
+            x = np.ones(g.n)
+            y, peak = traced_peak(lambda: adjacency_matvec(g, x))
+            assert np.array_equal(y, g.degrees)
+            assert peak <= bound
+
+    def test_light_row_index_memory(self, monkeypatch):
+        # the bound above plus the light-row columns: 8 B per entry of a row
+        # of at most _LIGHT entries
+        block = 1 << 12
+        monkeypatch.setattr(spectral, "_MATVEC_BLOCK", block)
+        n = 2_000
+        for low, high, seed in ((1.0, 4.0, 5), (1.0, 9.0, 7)):
+            g = chung_lu_sample_fast(uniform_expected_degrees(n, low, high, seed=seed), seed + 1)
+            d = g.degrees
+            light_entries = int(d[d <= spectral._LIGHT].sum())
+            assert light_entries > g.m  # most of the 2m entries are in light rows
+            bound = 8 * (4 * n + block) + (16 << 10) + 8 * light_entries
             x = np.ones(g.n)
             y, peak = traced_peak(lambda: adjacency_matvec(g, x))
             assert np.array_equal(y, g.degrees)
