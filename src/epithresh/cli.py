@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .generators import (
 )
 from .graph import degree_stats, largest_component, read_edge_list, write_edge_list
 from .harness import (
+    _csv_text,
     model_graph,
     run_synthetic_experiment,
     run_t1_benchmark,
@@ -39,7 +40,7 @@ from .harness import (
     write_records_csv,
 )
 from .service import remote_oracle, serve_oracle
-from .sir import SirParams, sir_simulate, threshold_sweep
+from .sir import SirParams, SweepRow, sir_simulate, threshold_sweep
 from .spectral import spectral_gap, spectral_radius
 from .walker import (DEFAULT_THIN, WalkConfig, _default_t_star, _walked_component, local_oracle,
                      random_walk_estimate)
@@ -59,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -115,9 +116,7 @@ def _cmd_generate(args) -> int:
             sampler=args.sampler,
         )
     write_edge_list(g, args.out)
-    with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit(sidecar, args.out + ".json")
     print(f"wrote {args.out} (n={g.n}, m={g.m}) and {args.out}.json")
     return 0
 
@@ -260,15 +259,11 @@ def _cmd_sir(args) -> int:
         seed=args.seed,
     )
     traj = sir_simulate(g, params)
-    lines = [
-        f"# sir beta={args.beta} mu={args.mu} seed={args.seed} "
-        f"init={args.init} update=synchronous-snapshot contact=1-(1-beta)^k",
-        "step,s,i,r",
-    ]
-    for t in range(len(traj.s)):
-        lines.append(f"{t},{traj.s[t]},{traj.i[t]},{traj.r[t]}")
-    lines.append(f"# final_size={traj.final_size} steps={traj.steps}")
-    _write("\n".join(lines) + "\n", args.out)
+    comment = (f"# sir beta={args.beta} mu={args.mu} seed={args.seed} "
+               f"init={args.init} update=synchronous-snapshot contact=1-(1-beta)^k")
+    rows = zip(range(len(traj.s)), traj.s, traj.i, traj.r)
+    text = _csv_text([comment], ("step", "s", "i", "r"), rows)
+    _write(text + f"# final_size={traj.final_size} steps={traj.steps}\n", args.out)
     return 0
 
 
@@ -276,24 +271,15 @@ def _cmd_sweep(args) -> int:
     g = read_edge_list(args.infile)
     ratios = [float(x) for x in args.ratios.split(",")]
     rows = threshold_sweep(g, ratios, reps=args.reps, seed=args.seed, **_given(args, ("mu",)))
-    lines = [
-        f"# sweep mu={rows[0].mu} reps={args.reps} seed={args.seed} "
-        f"update=synchronous-snapshot contact=1-(1-beta)^k",
-        "ratio,beta,mu,mean_final_fraction,sd_final_fraction,reps",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.ratio},{row.beta!r},{row.mu},{row.mean_final_fraction!r},"
-            f"{row.sd_final_fraction!r},{row.reps}"
-        )
-    _write("\n".join(lines) + "\n", args.out)
+    comment = (f"# sweep mu={rows[0].mu} reps={args.reps} seed={args.seed} "
+               f"update=synchronous-snapshot contact=1-(1-beta)^k")
+    _write(_csv_text([comment], SweepRow.__dataclass_fields__, map(astuple, rows)), args.out)
     return 0
 
 
 def _cmd_bench_t1(args) -> int:
     records, summary, config = run_t1_benchmark(args.n, args.reps, args.seed)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         write_records_csv(os.path.join(args.out, "records.csv"), config, records)
     _emit(asdict(summary), None)
     return 0
@@ -308,7 +294,6 @@ def _cmd_experiment(args) -> int:
         **_given(args, ("walk_seeds", "thin")),
     )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         write_records_csv(os.path.join(args.out, "records.csv"), result.config, result.records)
         write_curve_csv(
             os.path.join(args.out, "curve.csv"),

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .graph import DegreeStats, Graph, _degree_moments
 from .generators import ExpectedDegrees
-from .spectral import SpectralGap
+from .spectral import SpectralGap, _certified
 
 __all__ = [
     "MomentEstimate",
@@ -88,10 +88,10 @@ def t1_estimate(g: Graph) -> MomentEstimate:
 
 
 def relative_error(estimate: float, reference: float) -> float:
-    """|estimate/reference - 1|; errors on a zero reference."""
+    """|estimate - reference| / |reference|; errors on a zero reference."""
     if reference == 0.0:
         raise ValueError("relative error undefined for a zero reference")
-    return abs(estimate / reference - 1.0)
+    return abs(estimate - reference) / abs(reference)
 
 
 def hoeffding_m1_bound(ed: ExpectedDegrees, eps: float) -> BoundReport:
@@ -157,15 +157,7 @@ def sample_size(
     :class:`SpectralGap` whose solve did not converge is refused: a
     truncated gap would size the walk from an uncertified number.
     """
-    if isinstance(gap, SpectralGap):
-        if not gap.converged:
-            raise ValueError(
-                f"spectral gap {gap.gap} is not certified: Ritz residual "
-                f"{gap.residual:.3g} after {gap.iterations} Lanczos steps"
-            )
-        gap_value = gap.gap
-    else:
-        gap_value = float(gap)
+    gap_value = _certified(gap) if isinstance(gap, SpectralGap) else float(gap)
     if gap_value <= 0.0:
         raise ValueError("sample size requires a positive spectral gap")
     if not 0.0 < eps <= 1.0:

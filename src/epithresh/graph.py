@@ -83,10 +83,6 @@ class Graph:
     neighbors: np.ndarray
     degrees: np.ndarray
 
-    def neighbors_of(self, v: int) -> np.ndarray:
-        """Sorted neighbor slice of node v (a read-only view)."""
-        return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
-
     def edge_pairs(self) -> np.ndarray:
         """All undirected edges as an (m, 2) array with u < v, lexicographically sorted."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)

@@ -4,17 +4,22 @@ error-curve experiments, and self-describing CSV output.
 Every experiment embeds its full configuration and seeds as '#' comment
 lines in its CSV outputs, and all summary statistics are recomputable from
 the raw per-replication records. Identical (config, seed) runs produce
-byte-identical files.
+byte-identical files. ``_csv_text`` is the one CSV format of the package,
+which the CLI's ``sweep`` and ``sir`` share: the '#' lines, the header, then
+the rows, every line ending in '\n', floats written by repr and None as an
+empty cell. Relative errors are ``estimators.relative_error``, and a lambda
+whose solve is not certified is refused, not written.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import time
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .generators import (
     uniform_expected_degrees,
 )
 from .graph import Graph
-from .spectral import spectral_radius
+from .spectral import _certified, spectral_radius
 from .walker import (DEFAULT_THIN, CurvePoint, _default_t_star, _walked_component, error_curve,
                      local_oracle)
 
@@ -172,7 +177,7 @@ def run_t1_benchmark(
         g = chung_lu_sample_fast(ed, rep_seed)
 
         start = time.perf_counter()
-        lam = spectral_radius(g)
+        lam = _certified(spectral_radius(g))
         runtime_lambda = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -184,10 +189,10 @@ def run_t1_benchmark(
                 seed=rep_seed,
                 n=g.n,
                 m=g.m,
-                lambda_a=lam.value,
+                lambda_a=lam,
                 t1=moment.t1,
                 t2=None,
-                e1=relative_error(moment.t1, lam.value),
+                e1=relative_error(moment.t1, lam),
                 eps_t1_t2=None,
                 eps_lambda_t2=None,
                 nodes_seen=None,
@@ -268,7 +273,7 @@ def run_synthetic_experiment(
     A ``walk_seeds`` below 1, and ``budget_fractions`` that are empty or hold
     a value outside (0, 1], are refused before the graph is built; a
     ``thin`` below 1, or an even one on a bipartite component, before any
-    eigen solve.
+    eigen solve; a radius that is not certified, after it.
     """
     if walk_seeds < 1:
         raise ValueError("need at least one walk seed")
@@ -289,12 +294,12 @@ def run_synthetic_experiment(
         thin=thin,
     )
 
-    lam_full = spectral_radius(graph).value
+    lam_full = _certified(spectral_radius(graph))
     t1_full = t1_estimate(graph).t1
     if component is graph:
         comp_lambda, comp_t1 = lam_full, t1_full
     else:
-        comp_lambda, comp_t1 = spectral_radius(component).value, t1_estimate(component).t1
+        comp_lambda, comp_t1 = _certified(spectral_radius(component)), t1_estimate(component).t1
     frac_of: dict[int, float] = {}
     for f in sorted(budget_fractions):  # the smallest fraction names a shared budget
         frac_of.setdefault(max(1, math.ceil(f * component.n)), f)
@@ -364,28 +369,29 @@ def run_synthetic_experiment(
     )
 
 
-def _write_csv(path: str, comments: list[str], header: list[str], rows: list[list]) -> None:
+def _csv_text(comments: list[str], header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """The one CSV format of the package: the '#' comment lines, the header,
+    then one line per row. Every line ends in '\n'; csv writes a float cell
+    by repr and a None cell as empty."""
+    buf = io.StringIO()
+    buf.writelines(line + "\n" for line in comments)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_csv(path: str, config: ExperimentConfig, row_type: type, rows: list) -> None:
+    """The dataclass ``rows`` of ``row_type``, one column per field, under
+    ``config``'s comment lines; the file's directory is made if missing."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    text = _csv_text(config.comment_lines(), row_type.__dataclass_fields__, map(astuple, rows))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        fh.write(text)
 
 
 def write_records_csv(path: str, config: ExperimentConfig, records: list[ExperimentRecord]) -> None:
-    header = list(ExperimentRecord.__dataclass_fields__)
-    rows = [[_cell(v) for v in asdict(rec).values()] for rec in records]
-    _write_csv(path, config.comment_lines(), header, rows)
+    _write_csv(path, config, ExperimentRecord, records)
 
 
 def write_curve_csv(
@@ -396,11 +402,7 @@ def write_curve_csv(
 ) -> None:
     """Aggregated curve CSV; optionally appends the per-seed raw points file
     alongside it (same name with a .raw.csv suffix)."""
-    header = list(CurveSummary.__dataclass_fields__)
-    rows = [[_cell(v) for v in asdict(row).values()] for row in curve]
-    _write_csv(path, config.comment_lines(), header, rows)
+    _write_csv(path, config, CurveSummary, curve)
     if points is not None:
-        raw_header = list(CurvePoint.__dataclass_fields__)
-        raw_rows = [[_cell(v) for v in asdict(p).values()] for p in points]
         raw_path = path[:-4] + ".raw.csv" if path.endswith(".csv") else path + ".raw"
-        _write_csv(raw_path, config.comment_lines(), raw_header, raw_rows)
+        _write_csv(raw_path, config, CurvePoint, points)

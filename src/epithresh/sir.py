@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, _frontier_neighbors
-from .spectral import spectral_radius
+from .spectral import _certified, spectral_radius
 
 
 __all__ = [
@@ -177,14 +177,14 @@ def threshold_sweep(
     in the calling thread, reusing heap the caller has freed; a pool thread
     would take its temporaries from a second malloc arena and grow the
     process. ``lam`` short-circuits the spectral radius if the caller
-    already has it.
+    already has it; a radius solved here that is not certified is refused.
     """
     if not ratios:
         raise ValueError("need at least one ratio")
     if reps < 1:
         raise ValueError("need at least one replication")
     if lam is None:
-        lam = spectral_radius(g).value
+        lam = _certified(spectral_radius(g))
     master = np.random.default_rng(seed)
     betas = [min(1.0, ratio * mu / lam) for ratio in ratios]
     # Replication seeds are drawn up front, ratio-major, so results do not

@@ -380,6 +380,19 @@ def spectral_gap(
     return SpectralGap(lambda2, 1.0 - lambda2, iterations, residual, converged)
 
 
+def _certified(result: SpectralResult | SpectralGap) -> float:
+    """A radius's ``value`` or a gap's ``gap``; ValueError when the solve did
+    not converge, because an uncertified number must not feed a result."""
+    gap = isinstance(result, SpectralGap)
+    name, value = ("spectral gap", result.gap) if gap else ("spectral radius", result.value)
+    if not result.converged:
+        raise ValueError(
+            f"{name} {value} is not certified: Ritz residual "
+            f"{result.residual:.3g} after {result.iterations} Lanczos steps"
+        )
+    return value
+
+
 def stationary_distribution(g: Graph) -> np.ndarray:
     """Stationary distribution of the simple random walk: pi_v = d_v / sum(d).
 

@@ -42,6 +42,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from .estimators import relative_error
 from .graph import Graph, largest_component
 from .spectral import BipartiteGraphError, bipartite_coloring
 
@@ -360,7 +361,7 @@ def error_curve(
                 steps=walk.steps,
                 samples=walk.samples,
                 estimate=est,
-                eps_t1=abs(est - t1_reference) / t1_reference,
-                eps_lambda=abs(est - lambda_reference) / lambda_reference,
+                eps_t1=relative_error(est, t1_reference),
+                eps_lambda=relative_error(est, lambda_reference),
             ))
     return points

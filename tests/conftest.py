@@ -16,6 +16,11 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def neighbors_of(g: Graph, v: int) -> np.ndarray:
+    """Sorted neighbor slice of node v (a read-only view)."""
+    return g.neighbors[g.offsets[v] : g.offsets[v + 1]]
+
+
 def complete_graph(n: int) -> Graph:
     return build_graph([(i, j) for i in range(n) for j in range(i + 1, n)], n)
 

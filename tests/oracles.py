@@ -36,6 +36,8 @@ from epithresh.walker import (
     ZeroDegreeNodeError,
 )
 
+from conftest import neighbors_of
+
 
 def dense_adjacency(g) -> np.ndarray:
     """Dense adjacency rebuilt edge-by-edge from the CSR arrays."""
@@ -420,7 +422,7 @@ def bipartite_coloring(g: Graph) -> np.ndarray | None:
         while queue:
             u = queue.pop()
             cu = color[u]
-            for v in g.neighbors_of(u):
+            for v in neighbors_of(g, u):
                 if color[v] < 0:
                     color[v] = 1 - cu
                     queue.append(int(v))

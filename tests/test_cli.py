@@ -297,6 +297,24 @@ class TestHarnessCommands:
             ).read_bytes()
 
 
+def test_no_csv_holds_a_carriage_return(edge_file, tmp_path, capsys):
+    runs = [
+        ("experiment", "--model", "chung-lu", "--n", "300", "--seed", "7", "--deg-dist",
+         "uniform", "--low", "6", "--high", "12", "--walk-seeds", "2", "--thin", "5",
+         "--out", str(tmp_path / "exp")),
+        ("bench-t1", "--n", "300", "--reps", "2", "--seed", "5", "--out", str(tmp_path / "bench")),
+        ("sweep", "--in", edge_file, "--ratios", "0.5,2.0", "--reps", "3",
+         "--out", str(tmp_path / "sweep.csv")),
+        ("sir", "--in", edge_file, "--beta", "0.3", "--mu", "0.4", "--out", str(tmp_path / "sir.csv")),
+    ]
+    for argv in runs:
+        assert run_cli(*argv) == 0, argv
+    capsys.readouterr()
+    written = ["exp/records.csv", "exp/curve.csv", "exp/curve.raw.csv", "bench/records.csv",
+               "sweep.csv", "sir.csv"]
+    assert [name for name in written if b"\r" in (tmp_path / name).read_bytes()] == []
+
+
 # Each model with no parameter flags but the uniform law's name, and the
 # library parameters they stand for: the CLI must use the library's defaults.
 DEFAULT_MODELS = [

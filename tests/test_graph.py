@@ -21,7 +21,7 @@ from epithresh.graph import (
     write_edge_list,
 )
 
-from conftest import complete_graph, random_graph, star_graph, traced_peak
+from conftest import complete_graph, neighbors_of, random_graph, star_graph, traced_peak
 from oracles import (
     dense_adjacency,
     read_edge_list_lines,
@@ -79,10 +79,10 @@ class TestBuildGraph:
     def test_symmetry_and_sorted_neighbors(self):
         g = random_graph(40, 0.15, seed=5)
         for u in range(g.n):
-            nbrs = g.neighbors_of(u)
+            nbrs = neighbors_of(g, u)
             assert np.all(np.diff(nbrs) > 0)  # sorted, no duplicates
             for v in nbrs:
-                assert u in g.neighbors_of(int(v))
+                assert u in neighbors_of(g, int(v))
         assert g.offsets[-1] == 2 * g.m
 
     @pytest.mark.parametrize(
@@ -148,7 +148,7 @@ class TestBuildGraph:
         assert g.degrees.tolist() == degrees
         assert int(g.degrees.sum()) == m1
         for v in range(n):
-            assert g.neighbors_of(v).tolist() == sorted(adjacency[v])
+            assert neighbors_of(g, v).tolist() == sorted(adjacency[v])
         dense = np.zeros((n, n))
         for u, v in distinct:
             dense[u, v] = dense[v, u] = 1.0
@@ -246,7 +246,7 @@ class TestLargestComponent:
             stack = [0]
             while stack:
                 u = stack.pop()
-                for v in sub.neighbors_of(u):
+                for v in neighbors_of(sub, u):
                     if int(v) not in seen:
                         seen.add(int(v))
                         stack.append(int(v))

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from epithresh import harness
+from epithresh import harness, sir
 from epithresh.estimators import relative_error
 from epithresh.harness import (
     run_synthetic_experiment,
@@ -13,7 +14,10 @@ from epithresh.harness import (
     write_curve_csv,
     write_records_csv,
 )
+from epithresh.sir import threshold_sweep
 from epithresh.spectral import spectral_radius
+
+from conftest import random_connected_graph
 
 
 class TestThetaProductModel:
@@ -207,6 +211,25 @@ class TestSyntheticExperiment:
         monkeypatch.setattr(harness, "spectral_radius", unreachable)
         with pytest.raises(ValueError, match=message):
             run_synthetic_experiment("pa", 200, seed=1, params={"edges_per_node": 1}, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "module, call",
+    [
+        (harness, lambda: run_t1_benchmark(200, reps=1, seed=1)),
+        (harness, lambda: run_synthetic_experiment("pa", 200, seed=1, walk_seeds=1, thin=9)),
+        (sir, lambda: threshold_sweep(random_connected_graph(50, 1, 50), [1.0], reps=1, seed=1)),
+    ],
+    ids=["bench-t1", "experiment", "sweep"],
+)
+def test_uncertified_radius_is_refused(monkeypatch, module, call):
+    def uncertified(g, *args, **kwargs):
+        return dataclasses.replace(spectral_radius(g, *args, **kwargs), converged=False)
+
+    monkeypatch.setattr(module, "spectral_radius", uncertified)
+    with pytest.raises(ValueError, match=r"spectral radius \S+ is not certified: Ritz residual "
+                                         r"\S+ after \d+ Lanczos steps"):
+        call()
 
 
 class TestFiftyThousandNodeInstances:
