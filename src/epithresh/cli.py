@@ -20,7 +20,6 @@ from .estimators import (
     chung_radcliffe_bound,
     chunglu_condition,
     hoeffding_m1_bound,
-    relative_error,
     sample_size,
     t1_estimate,
 )
@@ -33,6 +32,7 @@ from .generators import (
 from .graph import degree_stats, largest_component, read_edge_list, write_edge_list
 from .harness import (
     _csv_text,
+    _write_text,
     model_graph,
     run_synthetic_experiment,
     run_t1_benchmark,
@@ -40,7 +40,7 @@ from .harness import (
     write_records_csv,
 )
 from .service import remote_oracle, serve_oracle
-from .sir import SirParams, SweepRow, sir_simulate, threshold_sweep
+from .sir import UPDATE_RULE, SirParams, SweepRow, sir_simulate, threshold_sweep
 from .spectral import spectral_gap, spectral_radius
 from .walker import (DEFAULT_THIN, WalkConfig, _default_t_star, _walked_component, local_oracle,
                      random_walk_estimate)
@@ -60,8 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -259,8 +258,7 @@ def _cmd_sir(args) -> int:
         seed=args.seed,
     )
     traj = sir_simulate(g, params)
-    comment = (f"# sir beta={args.beta} mu={args.mu} seed={args.seed} "
-               f"init={args.init} update=synchronous-snapshot contact=1-(1-beta)^k")
+    comment = f"# sir beta={args.beta} mu={args.mu} seed={args.seed} init={args.init} {UPDATE_RULE}"
     rows = zip(range(len(traj.s)), traj.s, traj.i, traj.r)
     text = _csv_text([comment], ("step", "s", "i", "r"), rows)
     _write(text + f"# final_size={traj.final_size} steps={traj.steps}\n", args.out)
@@ -271,8 +269,7 @@ def _cmd_sweep(args) -> int:
     g = read_edge_list(args.infile)
     ratios = [float(x) for x in args.ratios.split(",")]
     rows = threshold_sweep(g, ratios, reps=args.reps, seed=args.seed, **_given(args, ("mu",)))
-    comment = (f"# sweep mu={rows[0].mu} reps={args.reps} seed={args.seed} "
-               f"update=synchronous-snapshot contact=1-(1-beta)^k")
+    comment = f"# sweep mu={rows[0].mu} reps={args.reps} seed={args.seed} {UPDATE_RULE}"
     _write(_csv_text([comment], SweepRow.__dataclass_fields__, map(astuple, rows)), args.out)
     return 0
 
@@ -305,7 +302,7 @@ def _cmd_experiment(args) -> int:
         {
             "lambda": result.lambda_a,
             "t1": result.t1,
-            "e1": relative_error(result.t1, result.lambda_a),
+            "e1": result.records[0].e1,
             "component_n": result.component_n,
             "component_t1": result.component_t1,
             "component_lambda": result.component_lambda,

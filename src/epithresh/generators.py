@@ -244,9 +244,7 @@ def chung_lu_sample_fast(ed: ExpectedDegrees, seed: int) -> Graph:
                     vs.append(ids[j])
                 p = q
                 j += 1
-    pairs = np.column_stack(
-        (np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
-    ) if us else np.empty((0, 2), dtype=np.int64)
+    pairs = np.column_stack((np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)))
     return build_graph(pairs, n)
 
 

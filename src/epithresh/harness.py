@@ -84,24 +84,25 @@ class ExperimentConfig:
         return lines
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentRecord:
-    """One CSV row of per-replication results; walk fields are blank for
-    replications without a walk."""
+    """One CSV row of per-replication results. A field left at None is a
+    blank cell: the walk fields of a replication without a walk, and the
+    runtimes of one that is not timed."""
 
     seed: int
     n: int
     m: int
     lambda_a: float
     t1: float
-    t2: float | None
+    t2: float | None = None
     e1: float
-    eps_t1_t2: float | None
-    eps_lambda_t2: float | None
-    nodes_seen: int | None
-    runtime_lambda: float | None
-    runtime_t1: float | None
-    runtime_t2: float | None
+    eps_t1_t2: float | None = None
+    eps_lambda_t2: float | None = None
+    nodes_seen: int | None = None
+    runtime_lambda: float | None = None
+    runtime_t1: float | None = None
+    runtime_t2: float | None = None
 
 
 @dataclass(frozen=True)
@@ -191,14 +192,9 @@ def run_t1_benchmark(
                 m=g.m,
                 lambda_a=lam,
                 t1=moment.t1,
-                t2=None,
                 e1=relative_error(moment.t1, lam),
-                eps_t1_t2=None,
-                eps_lambda_t2=None,
-                nodes_seen=None,
                 runtime_lambda=runtime_lambda,
                 runtime_t1=runtime_t1,
-                runtime_t2=None,
             )
         )
     errors = np.array([rec.e1 for rec in records])
@@ -330,9 +326,6 @@ def run_synthetic_experiment(
             eps_t1_t2=last.eps_t1,
             eps_lambda_t2=last.eps_lambda,
             nodes_seen=last.nodes_seen,
-            runtime_lambda=None,
-            runtime_t1=None,
-            runtime_t2=None,
         )
         for last in points[width - 1::width]
     ]
@@ -340,18 +333,14 @@ def run_synthetic_experiment(
     curve: list[CurveSummary] = []
     for i, budget in enumerate(budgets):
         at_budget = points[i::width]
-        valid = [p for p in at_budget if not math.isnan(p.estimate)]
+        valid = [p for p in at_budget if p.samples > 0]  # the points with an estimate
         curve.append(
             CurveSummary(
                 budget=budget,
                 budget_fraction=frac_of[budget],
-                mean_nodes_seen=float(np.mean([p.nodes_seen for p in at_budget])),
-                mean_eps_t1=float(np.mean([p.eps_t1 for p in valid]))
-                if valid
-                else float("nan"),
-                mean_eps_lambda=float(np.mean([p.eps_lambda for p in valid]))
-                if valid
-                else float("nan"),
+                mean_nodes_seen=_mean([p.nodes_seen for p in at_budget]),
+                mean_eps_t1=_mean([p.eps_t1 for p in valid]),
+                mean_eps_lambda=_mean([p.eps_lambda for p in valid]),
                 seeds_used=len(valid),
             )
         )
@@ -369,6 +358,11 @@ def run_synthetic_experiment(
     )
 
 
+def _mean(values: list) -> float:
+    """The mean of ``values``, NaN when there are none."""
+    return float(np.mean(values)) if values else float("nan")
+
+
 def _csv_text(comments: list[str], header: Iterable[str], rows: Iterable[Iterable]) -> str:
     """The one CSV format of the package: the '#' comment lines, the header,
     then one line per row. Every line ends in '\n'; csv writes a float cell
@@ -381,13 +375,18 @@ def _csv_text(comments: list[str], header: Iterable[str], rows: Iterable[Iterabl
     return buf.getvalue()
 
 
+def _write_text(path: str, text: str) -> None:
+    """The one text-file writer of the package: UTF-8, line ends as given."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_csv(path: str, config: ExperimentConfig, row_type: type, rows: list) -> None:
     """The dataclass ``rows`` of ``row_type``, one column per field, under
     ``config``'s comment lines; the file's directory is made if missing."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     text = _csv_text(config.comment_lines(), row_type.__dataclass_fields__, map(astuple, rows))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, text)
 
 
 def write_records_csv(path: str, config: ExperimentConfig, records: list[ExperimentRecord]) -> None:
@@ -395,14 +394,10 @@ def write_records_csv(path: str, config: ExperimentConfig, records: list[Experim
 
 
 def write_curve_csv(
-    path: str,
-    config: ExperimentConfig,
-    curve: list[CurveSummary],
-    points: list[CurvePoint] | None = None,
+    path: str, config: ExperimentConfig, curve: list[CurveSummary], points: list[CurvePoint]
 ) -> None:
-    """Aggregated curve CSV; optionally appends the per-seed raw points file
-    alongside it (same name with a .raw.csv suffix)."""
+    """The aggregated curve CSV, and beside it the per-seed raw points (same
+    name with a .raw.csv suffix)."""
     _write_csv(path, config, CurveSummary, curve)
-    if points is not None:
-        raw_path = path[:-4] + ".raw.csv" if path.endswith(".csv") else path + ".raw"
-        _write_csv(raw_path, config, CurvePoint, points)
+    raw_path = path[:-4] + ".raw.csv" if path.endswith(".csv") else path + ".raw"
+    _write_csv(raw_path, config, CurvePoint, points)

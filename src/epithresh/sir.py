@@ -28,6 +28,8 @@ import numpy as np
 from .graph import Graph, _frontier_neighbors
 from .spectral import _certified, spectral_radius
 
+# The update rule of the module docstring, as the CLI's CSV comment lines name it.
+UPDATE_RULE = "update=synchronous-snapshot contact=1-(1-beta)^k"
 
 __all__ = [
     "SirParams",

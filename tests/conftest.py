@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -14,6 +15,15 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def sampler_warning(model: str, params: dict):
+    """The warning a default draw of ``harness.model_graph`` raises: the
+    power-law Chung-Lu degrees exceed the feasibility bound, and the sampler
+    says so; the other models draw silently."""
+    if model == "chung-lu" and params.get("deg_dist", "powerlaw") == "powerlaw":
+        return pytest.warns(RuntimeWarning, match="exceeds S")
+    return nullcontext()
 
 
 def neighbors_of(g: Graph, v: int) -> np.ndarray:

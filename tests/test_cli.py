@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import signal
@@ -21,7 +22,7 @@ from epithresh.sir import threshold_sweep
 from epithresh.spectral import spectral_gap, spectral_radius
 from epithresh.walker import _default_t_star
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, sampler_warning
 
 
 @pytest.fixture
@@ -216,9 +217,10 @@ class TestDisconnectedFile:
     @pytest.fixture
     def power_law_file(self, tmp_path):
         path = str(tmp_path / "pl.txt")
-        assert run_cli(
-            "generate", "--model", "chung-lu", "--n", "2000", "--seed", "7", "--out", path
-        ) == 0
+        with sampler_warning("chung-lu", {}):
+            assert run_cli(
+                "generate", "--model", "chung-lu", "--n", "2000", "--seed", "7", "--out", path
+            ) == 0
         return path
 
     def test_local_and_remote_walks_agree(self, power_law_file, capsys):
@@ -297,6 +299,33 @@ class TestHarnessCommands:
             ).read_bytes()
 
 
+def blank_columns(path) -> set[frozenset[str]]:
+    """The set of blank-column sets over the data rows of a CSV file: one
+    set when every row leaves the same columns blank."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    header, *rows = csv.reader(lines)
+    return {frozenset(name for name, cell in zip(header, row) if cell == "") for row in rows}
+
+
+def test_records_leave_exactly_the_unmeasured_cells_blank(tmp_path, capsys):
+    assert run_cli("bench-t1", "--n", "300", "--reps", "2", "--seed", "5",
+                   "--out", str(tmp_path / "bench")) == 0
+    capsys.readouterr()
+    # the benchmark times lambda and t1 but runs no walk
+    assert blank_columns(tmp_path / "bench" / "records.csv") == {
+        frozenset({"t2", "eps_t1_t2", "eps_lambda_t2", "nodes_seen", "runtime_t2"})}
+    assert run_cli("experiment", "--model", "chung-lu", "--n", "300", "--seed", "7",
+                   "--deg-dist", "uniform", "--low", "6", "--high", "12", "--walk-seeds", "2",
+                   "--thin", "5", "--out", str(tmp_path / "exp")) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # the experiment walks but times nothing
+    records = tmp_path / "exp" / "records.csv"
+    assert blank_columns(records) == {frozenset({"runtime_lambda", "runtime_t1", "runtime_t2"})}
+    lines = [line for line in records.read_text().splitlines() if not line.startswith("#")]
+    e1_cells = {row["e1"] for row in csv.DictReader(lines)}
+    assert e1_cells == {repr(payload["e1"])}
+
+
 def test_no_csv_holds_a_carriage_return(edge_file, tmp_path, capsys):
     runs = [
         ("experiment", "--model", "chung-lu", "--n", "300", "--seed", "7", "--deg-dist",
@@ -328,10 +357,11 @@ DEFAULT_MODELS = [
 class TestLibraryDefaults:
     def test_generate_matches_model_graph(self, tmp_path, model, flags, params):
         out = str(tmp_path / "g.txt")
-        assert run_cli(
-            "generate", "--model", model, "--n", "300", "--seed", "3", *flags, "--out", out
-        ) == 0
-        assert read_edge_list(out).identical(model_graph(model, 300, 3, params)[0])
+        with sampler_warning(model, params):
+            assert run_cli(
+                "generate", "--model", model, "--n", "300", "--seed", "3", *flags, "--out", out
+            ) == 0
+            assert read_edge_list(out).identical(model_graph(model, 300, 3, params)[0])
 
     def test_experiment_matches_run_synthetic_experiment(
         self, tmp_path, capsys, model, flags, params
@@ -343,19 +373,22 @@ class TestLibraryDefaults:
         ]:
             out, ref = tmp_path / case / "cli", tmp_path / case / "lib"
             ref.mkdir(parents=True)
-            assert run_cli(
-                "experiment", "--model", model, "--n", "300", "--seed", "3", *flags,
-                *walk_flags, "--out", str(out),
-            ) == 0
+            with sampler_warning(model, params):
+                assert run_cli(
+                    "experiment", "--model", model, "--n", "300", "--seed", "3", *flags,
+                    *walk_flags, "--out", str(out),
+                ) == 0
+                result = run_synthetic_experiment(model, 300, 3, params=params, **walk_kwargs)
             capsys.readouterr()
-            result = run_synthetic_experiment(model, 300, 3, params=params, **walk_kwargs)
             write_records_csv(str(ref / "records.csv"), result.config, result.records)
-            write_curve_csv(str(ref / "curve.csv"), result.config, result.curve)
-            for name in ("records.csv", "curve.csv"):
+            write_curve_csv(str(ref / "curve.csv"), result.config, result.curve,
+                            points=result.curve_points)
+            for name in ("records.csv", "curve.csv", "curve.raw.csv"):
                 assert (out / name).read_bytes() == (ref / name).read_bytes()
 
     def test_exact_gap_matches_the_solvers(self, tmp_path, capsys, model, flags, params):
-        g = model_graph(model, 300, 3, params)[0]
+        with sampler_warning(model, params):
+            g = model_graph(model, 300, 3, params)[0]
         write_edge_list(g, str(tmp_path / "g.txt"))
         assert run_cli("exact", "--in", str(tmp_path / "g.txt"), "--gap") == 0
         got = json.loads(capsys.readouterr().out)
@@ -367,7 +400,8 @@ class TestLibraryDefaults:
             gap.lambda2, gap.gap, gap.iterations, gap.residual, gap.converged)
 
     def test_sweep_matches_threshold_sweep(self, tmp_path, capsys, model, flags, params):
-        g = model_graph(model, 300, 3, params)[0]
+        with sampler_warning(model, params):
+            g = model_graph(model, 300, 3, params)[0]
         write_edge_list(g, str(tmp_path / "g.txt"))
         assert run_cli(
             "sweep", "--in", str(tmp_path / "g.txt"), "--ratios", "0.5,2", "--reps", "3",

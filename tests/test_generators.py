@@ -17,6 +17,7 @@ from epithresh.generators import (
     preferential_attachment,
     uniform_expected_degrees,
 )
+from epithresh.graph import build_graph
 
 from oracles import ccdf_slope, hill_tail_exponent, per_row_chung_lu_sample
 
@@ -224,6 +225,13 @@ class TestChungLuFast:
         assert ed.feasible
         m1s = [2 * chung_lu_sample_fast(ed, s).m for s in range(200)]
         assert np.mean(m1s) == pytest.approx(ed.mu1, rel=0.03)
+
+
+@pytest.mark.parametrize("sampler", [chung_lu_sample_naive, chung_lu_sample_fast])
+@pytest.mark.parametrize("delta", [np.full(4, 1e-9), np.ones(1)], ids=["tiny", "n=1"])
+def test_a_draw_with_no_edges_is_an_edgeless_graph(sampler, delta):
+    g = sampler(expected_degrees(delta), seed=0)
+    assert g.identical(build_graph(np.empty((0, 2), dtype=np.int64), len(delta)))
 
 
 class TestPreferentialAttachment:

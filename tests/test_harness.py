@@ -17,7 +17,7 @@ from epithresh.harness import (
 from epithresh.sir import threshold_sweep
 from epithresh.spectral import spectral_radius
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, sampler_warning
 
 
 class TestThetaProductModel:
@@ -184,7 +184,9 @@ class TestSyntheticExperiment:
             return spectral_radius(g, *args, **kwargs)
 
         monkeypatch.setattr(harness, "spectral_radius", counted)
-        result = run_synthetic_experiment("chung-lu", 2000, seed=3, params=params, walk_seeds=1)
+        with sampler_warning("chung-lu", params):
+            result = run_synthetic_experiment("chung-lu", 2000, seed=3, params=params,
+                                              walk_seeds=1)
         assert len(solved) == solves
         assert (result.component_n == 2000) == (solves == 1)
         if solves == 1:
