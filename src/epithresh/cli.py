@@ -39,10 +39,10 @@ from .harness import (
     write_curve_csv,
     write_records_csv,
 )
-from .service import remote_oracle, serve_oracle
+from .service import OracleServer, RemoteOracle
 from .sir import UPDATE_RULE, SirParams, SweepRow, sir_simulate, threshold_sweep
 from .spectral import spectral_gap, spectral_radius
-from .walker import (DEFAULT_THIN, WalkConfig, _default_t_star, _walked_component, local_oracle,
+from .walker import (DEFAULT_THIN, LocalOracle, WalkConfig, _default_t_star, _walked_component,
                      random_walk_estimate)
 
 USAGE_ERROR = 1
@@ -186,12 +186,12 @@ def _cmd_walk(args) -> int:
         if r is None:
             raise ValueError("--r is required with --remote (no graph to plan from)")
         # `serve` serves a file's largest component, so ids are component ids
-        oracle = remote_oracle(_parse_addr(args.remote))
+        oracle = RemoteOracle(_parse_addr(args.remote))
         start = args.start
     else:
         g = read_edge_list(args.infile)
         component, mapping = _walked_component(g, args.thin)
-        oracle = local_oracle(component)
+        oracle = LocalOracle(component)
         start = int(mapping[args.start]) if 0 <= args.start < g.n else -1
     try:
         n = oracle.node_count()
@@ -233,7 +233,7 @@ def _cmd_serve(args) -> int:
     # the graph `walk --in` walks: the largest component, relabeled
     g, _ = largest_component(read_edge_list(args.infile))
     host, port = _parse_addr(args.addr)
-    server = serve_oracle(g, (host, port))
+    server = OracleServer(g, (host, port))
     bound_host, bound_port = server.address
     print(f"serving oracle for n={g.n}, m={g.m} on {bound_host}:{bound_port}", flush=True)
     try:

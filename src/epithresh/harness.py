@@ -34,8 +34,8 @@ from .generators import (
 )
 from .graph import Graph
 from .spectral import _certified, spectral_radius
-from .walker import (DEFAULT_THIN, CurvePoint, _default_t_star, _walked_component, error_curve,
-                     local_oracle)
+from .walker import (DEFAULT_THIN, CurvePoint, LocalOracle, _default_t_star, _walked_component,
+                     error_curve)
 
 __all__ = [
     "ExperimentConfig",
@@ -302,7 +302,7 @@ def run_synthetic_experiment(
     budgets = sorted(frac_of)
 
     points = error_curve(
-        local_oracle(component),
+        LocalOracle(component),
         t1_reference=comp_t1,
         lambda_reference=comp_lambda,
         seeds=list(seeds),

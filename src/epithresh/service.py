@@ -44,8 +44,6 @@ __all__ = [
     "RemoteOracle",
     "OracleProtocolError",
     "STATS_FIELDS",
-    "serve_oracle",
-    "remote_oracle",
 ]
 
 _ENCODING = "ascii"
@@ -212,8 +210,6 @@ class OracleServer(socketserver.ThreadingTCPServer):
         self.stop()
 
 
-serve_oracle = OracleServer
-
 
 class RemoteOracle(GraphOracle):
     """GraphOracle over the line protocol; one persistent connection to a
@@ -299,5 +295,3 @@ class RemoteOracle(GraphOracle):
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-remote_oracle = RemoteOracle

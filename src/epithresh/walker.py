@@ -54,7 +54,6 @@ __all__ = [
     "WalkReport",
     "CurvePoint",
     "ZeroDegreeNodeError",
-    "local_oracle",
     "random_walk_estimate",
     "error_curve",
 ]
@@ -126,8 +125,6 @@ class LocalOracle(GraphOracle):
 
         return self._deg.__getitem__, neighbor
 
-
-local_oracle = LocalOracle
 
 
 class _Walk:

@@ -24,10 +24,10 @@ from epithresh.generators import (
 )
 from epithresh.graph import degree_stats, largest_component
 from epithresh.harness import run_synthetic_experiment, run_t1_benchmark
-from epithresh.service import remote_oracle, serve_oracle
+from epithresh.service import OracleServer, RemoteOracle
 from epithresh.sir import threshold_sweep
 from epithresh.spectral import spectral_gap, spectral_radius
-from epithresh.walker import WalkConfig, local_oracle, random_walk_estimate
+from epithresh.walker import LocalOracle, WalkConfig, random_walk_estimate
 
 from conftest import (
     complete_graph,
@@ -183,7 +183,7 @@ def test_criterion_05_stationary_expectation_and_ergodic_average():
         reference = stats.m2 / stats.m1
         for seed in range(5):
             cfg = WalkConfig(t_star=0, r=1_000_000, thin=1, seed=seed)
-            estimate = random_walk_estimate(local_oracle(g), cfg).estimate
+            estimate = random_walk_estimate(LocalOracle(g), cfg).estimate
             worst_walk = max(worst_walk, abs(estimate - reference) / reference)
 
     ok = worst_exact <= 1e-12 and worst_walk <= 0.01
@@ -264,11 +264,11 @@ def test_criterion_08_walk_remote_equivalence():
     ]
     checked = 0
     for g in graphs:
-        with serve_oracle(g) as server:
-            with remote_oracle(server.address) as remote:
+        with OracleServer(g) as server:
+            with RemoteOracle(server.address) as remote:
                 for seed in (1, 2, 3):
                     cfg = WalkConfig(t_star=11, r=80, thin=4, seed=seed)
-                    a = random_walk_estimate(local_oracle(g), cfg, trace=True)
+                    a = random_walk_estimate(LocalOracle(g), cfg, trace=True)
                     b = random_walk_estimate(remote, cfg, trace=True)
                     assert a.nodes == b.nodes
                     assert a.estimate == b.estimate

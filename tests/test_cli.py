@@ -155,17 +155,17 @@ class TestWalkCommand:
         assert "address must look like host:port, got 'localhost'" in capsys.readouterr().err
 
     def test_walk_remote_matches_local(self, edge_file, capsys, monkeypatch):
-        from epithresh.service import remote_oracle, serve_oracle
+        from epithresh.service import OracleServer, RemoteOracle
 
         opened = []
 
         def recording_remote_oracle(address):
-            opened.append(remote_oracle(address))
+            opened.append(RemoteOracle(address))
             return opened[-1]
 
-        monkeypatch.setattr(cli, "remote_oracle", recording_remote_oracle)
+        monkeypatch.setattr(cli, "RemoteOracle", recording_remote_oracle)
         g = read_edge_list(edge_file)
-        with serve_oracle(g) as server:
+        with OracleServer(g) as server:
             host, port = server.address
             assert run_cli(
                 "walk", "--remote", f"{host}:{port}",

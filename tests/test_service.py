@@ -11,12 +11,11 @@ from epithresh import service
 from epithresh.service import (
     STATS_FIELDS,
     OracleProtocolError,
+    OracleServer,
     RemoteOracle,
     handle_request,
-    remote_oracle,
-    serve_oracle,
 )
-from epithresh.walker import WalkConfig, error_curve, local_oracle, random_walk_estimate
+from epithresh.walker import LocalOracle, WalkConfig, error_curve, random_walk_estimate
 
 from conftest import neighbors_of, random_connected_graph, star_graph
 
@@ -26,7 +25,7 @@ def graph_with_degree_4_at_3():
     # node 3 has degree 4: neighbors 0, 1, 2, 4
     from epithresh.graph import build_graph
 
-    return local_oracle(build_graph([(3, 0), (3, 1), (3, 2), (3, 4), (0, 1)], 5))
+    return LocalOracle(build_graph([(3, 0), (3, 1), (3, 2), (3, 4), (0, 1)], 5))
 
 
 class TestProtocol:
@@ -82,7 +81,7 @@ class TestProtocolParity:
         from epithresh.graph import build_graph
 
         g = build_graph(edges, n)
-        oracle = local_oracle(g)
+        oracle = LocalOracle(g)
         expected = {}
         for v in range(-1, g.n + 1):
             inside = 0 <= v < g.n
@@ -100,7 +99,7 @@ class TestProtocolParity:
                 expected[f"NBR {v} {k}"] = "ERR unknown-command"
         for request, reply in expected.items():
             assert handle_request(oracle, request) == reply, request
-        with serve_oracle(g) as server, socket.create_connection(server.address) as sock:
+        with OracleServer(g) as server, socket.create_connection(server.address) as sock:
             with sock.makefile("rwb") as wire:
                 for request, reply in expected.items():
                     wire.write(f"{request}\n".encode())
@@ -158,9 +157,9 @@ class TestRemoteOracle:
     def test_walk_replay_equivalence(self):
         g = random_connected_graph(80, seed=4, extra_edges=50)
         cfg = WalkConfig(t_star=20, r=100, thin=3, seed=11)
-        with serve_oracle(g) as server:
+        with OracleServer(g) as server:
             with _CountingRemote(server.address) as remote:
-                local_report = random_walk_estimate(local_oracle(g), cfg, trace=True)
+                local_report = random_walk_estimate(LocalOracle(g), cfg, trace=True)
                 remote_report = random_walk_estimate(remote, cfg, trace=True)
                 stats = remote.stats()
         assert remote_report.nodes == local_report.nodes
@@ -178,16 +177,16 @@ class TestRemoteOracle:
 
     def test_remote_counters(self):
         g = star_graph(6)
-        with serve_oracle(g) as server:
-            with remote_oracle(server.address) as remote:
+        with OracleServer(g) as server:
+            with RemoteOracle(server.address) as remote:
                 assert remote.node_count() == 6
                 assert remote.degree(0) == 5
                 assert remote.neighbor(0, 2) == 3
 
     def test_out_of_range_raises(self):
         g = star_graph(6)
-        with serve_oracle(g) as server:
-            with remote_oracle(server.address) as remote:
+        with OracleServer(g) as server:
+            with RemoteOracle(server.address) as remote:
                 with pytest.raises(OracleProtocolError, match="out-of-range"):
                     remote.neighbor(1, 5)
 
@@ -196,23 +195,23 @@ class TestRemoteOracle:
             probe.bind(("127.0.0.1", 0))
             free_port = probe.getsockname()[1]
         with pytest.raises(OSError):
-            remote_oracle(("127.0.0.1", free_port), timeout=0.5)
+            RemoteOracle(("127.0.0.1", free_port), timeout=0.5)
 
     def test_concurrent_clients(self):
         g = random_connected_graph(40, seed=8, extra_edges=30)
         expected = random_walk_estimate(
-            local_oracle(g), WalkConfig(t_star=5, r=60, thin=2, seed=0)
+            LocalOracle(g), WalkConfig(t_star=5, r=60, thin=2, seed=0)
         ).estimate
         results = {}
 
         def run(worker: int):
-            with remote_oracle(server.address) as remote:
+            with RemoteOracle(server.address) as remote:
                 report = random_walk_estimate(
                     remote, WalkConfig(t_star=5, r=60, thin=2, seed=0)
                 )
                 results[worker] = report.estimate
 
-        with serve_oracle(g) as server:
+        with OracleServer(g) as server:
             threads = [threading.Thread(target=run, args=(w,)) for w in range(4)]
             for t in threads:
                 t.start()
@@ -226,7 +225,7 @@ class TestRemoteOracle:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(OracleProtocolError):
-                    remote_oracle(server.server_address, timeout=5)
+                    RemoteOracle(server.server_address, timeout=5)
                 gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -253,7 +252,7 @@ class TestRemoteOracle:
     @pytest.mark.parametrize("reply", ["-1", "4", "10000000000000"])
     def test_out_of_range_neighbor_reply_raises(self, reply):
         with _ScriptedServer(degree="2", step=f"{reply} 2") as server:
-            with remote_oracle(server.server_address, timeout=5) as remote:
+            with RemoteOracle(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match=r"out of range \[0, 4\)"):
                     remote.neighbor(0, 1)
                 with pytest.raises(OracleProtocolError, match="out of range"):
@@ -262,7 +261,7 @@ class TestRemoteOracle:
     @pytest.mark.parametrize("reply", ["1", "1 2 3", "1 x", "x 2", "1.0 2", ""])
     def test_malformed_step_reply_raises(self, reply):
         with _ScriptedServer(degree="2", step=reply) as server:
-            with remote_oracle(server.server_address, timeout=5) as remote:
+            with RemoteOracle(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match="malformed STEP reply"):
                     remote.neighbor(0, 1)
                 with pytest.raises(OracleProtocolError, match="malformed STEP reply"):
@@ -275,21 +274,21 @@ class TestRemoteOracle:
     def test_malformed_stats_reply_raises(self, reply):
         with _ScriptedServer() as server:
             server.replies[b"STATS"] = reply.encode()
-            with remote_oracle(server.server_address, timeout=5) as remote:
+            with RemoteOracle(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match="malformed STATS reply"):
                     remote.stats()
 
     def test_hang_up_without_reply_raises(self):
         with _ScriptedServer(n="5") as server:
             server.replies[b"DEG"] = None
-            with remote_oracle(server.server_address, timeout=5) as remote:
+            with RemoteOracle(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match="connection closed by oracle server"):
                     remote.degree(0)
             assert server.requests == ["N", "DEG"]
 
     def test_degree_of_other_nodes_goes_over_the_wire(self):
         with _ScriptedServer(degree="7", step="2 3") as server:
-            with remote_oracle(server.server_address, timeout=5) as remote:
+            with RemoteOracle(server.server_address, timeout=5) as remote:
                 assert remote.degree(2) == 7  # no STEP yet
                 assert remote.neighbor(0, 0) == 2
                 assert remote.degree(2) == 3  # from the STEP reply
@@ -304,7 +303,7 @@ class TestLineCap:
 
     def test_overlong_request_gets_error_and_close(self):
         g = star_graph(6)
-        with serve_oracle(g) as server:
+        with OracleServer(g) as server:
             with socket.create_connection(server.address, timeout=5) as sock:
                 try:
                     sock.sendall(b"N" * (1 << 20))  # 1 MiB, no newline
@@ -317,13 +316,13 @@ class TestLineCap:
                 except ConnectionResetError:
                     pass
             assert reply == b"ERR line-too-long\n"
-            with remote_oracle(server.address) as remote:  # still serving
+            with RemoteOracle(server.address) as remote:  # still serving
                 assert remote.node_count() == 6
                 assert remote.stats()["errors"] == 1
 
     def test_overlong_reply_raises(self):
         with _ScriptedServer(degree="1" * 1024) as server:
-            with remote_oracle(server.server_address, timeout=5) as remote:
+            with RemoteOracle(server.server_address, timeout=5) as remote:
                 with pytest.raises(OracleProtocolError, match="exceeds 128 bytes"):
                     remote.degree(0)
 
@@ -334,7 +333,7 @@ def _connect_when_free(address, wait_s=5.0):
     deadline = time.monotonic() + wait_s
     while True:
         try:
-            return remote_oracle(address, timeout=5)
+            return RemoteOracle(address, timeout=5)
         except OracleProtocolError:
             if time.monotonic() > deadline:
                 raise
@@ -344,24 +343,21 @@ def _connect_when_free(address, wait_s=5.0):
 class TestServerLimits:
     """A bounded number of connections, each closed when idle, and STATS."""
 
-    @pytest.mark.parametrize(
-        "start", [service.OracleServer, serve_oracle], ids=["OracleServer", "serve_oracle"]
-    )
-    def test_edgeless_graph_is_refused(self, start):
+    def test_edgeless_graph_is_refused(self):
         from epithresh.graph import build_graph
 
         threads = threading.active_count()
         with pytest.raises(ValueError, match="at least one edge"):
-            start(build_graph([], 3))
+            OracleServer(build_graph([], 3))
         assert threading.active_count() == threads  # no server thread was left
 
     def test_connection_beyond_the_cap_gets_busy(self, monkeypatch):
         monkeypatch.setattr(service, "_MAX_CONNECTIONS", 2)
-        with serve_oracle(star_graph(6)) as server:
-            with remote_oracle(server.address) as first:
-                with remote_oracle(server.address) as second:
+        with OracleServer(star_graph(6)) as server:
+            with RemoteOracle(server.address) as first:
+                with RemoteOracle(server.address) as second:
                     with pytest.raises(OracleProtocolError, match="ERR busy"):
-                        remote_oracle(server.address, timeout=5)
+                        RemoteOracle(server.address, timeout=5)
                     assert first.degree(0) == 5  # the admitted ones are still served
                     assert second.neighbor(0, 4) == 5
                 with _connect_when_free(server.address) as third:
@@ -372,7 +368,7 @@ class TestServerLimits:
     def test_idle_connection_is_closed_cleanly(self, monkeypatch, capsys):
         monkeypatch.setattr(service, "_MAX_CONNECTIONS", 1)
         monkeypatch.setattr(service, "_IDLE_TIMEOUT_S", 0.2)
-        with serve_oracle(star_graph(6)) as server:
+        with OracleServer(star_graph(6)) as server:
             with socket.create_connection(server.address, timeout=5) as idle:
                 assert idle.recv(64) == b""  # closed by the server, no reply
             with _connect_when_free(server.address) as remote:  # its slot is free
@@ -381,15 +377,15 @@ class TestServerLimits:
 
     def test_stats_counts_requests_errors_and_connections(self, monkeypatch):
         monkeypatch.setattr(service, "_MAX_CONNECTIONS", 1)
-        with serve_oracle(star_graph(6)) as server:
-            with remote_oracle(server.address) as remote:
+        with OracleServer(star_graph(6)) as server:
+            with RemoteOracle(server.address) as remote:
                 assert remote.degree(0) == 5
                 assert remote.neighbor(0, 1) == 2
                 assert remote.degree(2) == 1  # answered by the STEP reply
                 with pytest.raises(OracleProtocolError, match="out-of-range"):
                     remote.degree(99)
                 with pytest.raises(OracleProtocolError, match="ERR busy"):
-                    remote_oracle(server.address, timeout=5)
+                    RemoteOracle(server.address, timeout=5)
                 first = remote.stats()
                 second = remote.stats()
         counts = {"N": 1, "DEG": 2, "STEP": 1, "STATS": 0,

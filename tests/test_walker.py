@@ -20,7 +20,6 @@ from epithresh.walker import (
     ZeroDegreeNodeError,
     _walked_component,
     error_curve,
-    local_oracle,
     random_walk_estimate,
 )
 
@@ -37,13 +36,13 @@ from oracles import pi_weighted_mean_degree, step_loop_error_curve, step_loop_wa
 class TestLocalOracle:
     def test_degree_matches_stats(self):
         g = random_connected_graph(60, seed=2, extra_edges=40)
-        oracle = local_oracle(g)
+        oracle = LocalOracle(g)
         for v in range(g.n):
             assert oracle.degree(v) == g.degrees[v]
 
     def test_neighbor_indexing(self):
         g = star_graph(5)
-        oracle = local_oracle(g)
+        oracle = LocalOracle(g)
         assert oracle.degree(0) == 4
         assert [oracle.neighbor(0, k) for k in range(4)] == [1, 2, 3, 4]
         with pytest.raises(IndexError):
@@ -53,7 +52,7 @@ class TestLocalOracle:
 
     def test_query_accounting_on_walk(self):
         g = cycle_graph(9)
-        oracle = local_oracle(g)
+        oracle = LocalOracle(g)
         report = random_walk_estimate(oracle, WalkConfig(t_star=99, r=1, thin=1, seed=0))
         # a 100-step walk costs 100 degree + 100 neighbor queries
         assert report.total_steps == 100
@@ -64,7 +63,7 @@ class TestLocalOracle:
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
-            local_oracle(build_graph([], 3))
+            LocalOracle(build_graph([], 3))
 
     def test_build_allocates_no_copy_of_the_graph(self):
         # a copy of the CSR arrays as Python ints costs about 40 B per entry
@@ -72,7 +71,7 @@ class TestLocalOracle:
         large = chung_lu_sample_fast(uniform_expected_degrees(20_000, 10.0, 30.0, seed=3), 4)
         assert large.m >= 10 * small.m
         for g in (small, large):
-            oracle, peak = traced_peak(lambda: local_oracle(g))
+            oracle, peak = traced_peak(lambda: LocalOracle(g))
             assert oracle.node_count() == g.n
             assert peak <= 4096
 
@@ -86,7 +85,7 @@ class TestLocalOracle:
             arrays[name] = np.load(tmp_path / f"{name}.npy", mmap_mode="r")
         mapped = Graph(n=g.n, m=g.m, **arrays)
         assert not mapped.neighbors.flags.writeable
-        here, there = local_oracle(g), local_oracle(mapped)
+        here, there = LocalOracle(g), LocalOracle(mapped)
         cfg = WalkConfig(t_star=20, r=300, thin=3, seed=9)
         assert random_walk_estimate(there, cfg, trace=True) == random_walk_estimate(
             here, cfg, trace=True)
@@ -122,14 +121,14 @@ class TestRandomWalkEstimate:
             WalkConfig(t_star=0, r=10, thin=1, seed=1),
             WalkConfig(t_star=25, r=500, thin=7, seed=2),
         ):
-            assert random_walk_estimate(local_oracle(cycle_graph(11)), cfg).estimate == 2.0
-            assert random_walk_estimate(local_oracle(complete_graph(4)), cfg).estimate == 3.0
+            assert random_walk_estimate(LocalOracle(cycle_graph(11)), cfg).estimate == 2.0
+            assert random_walk_estimate(LocalOracle(complete_graph(4)), cfg).estimate == 3.0
 
     def test_star_converges_to_pi_mean(self):
         g = star_graph(5)  # m2/m1 = 20/8 = 2.5
         estimates = [
             random_walk_estimate(
-                local_oracle(g), WalkConfig(t_star=0, r=100_000, thin=1, seed=s)
+                LocalOracle(g), WalkConfig(t_star=0, r=100_000, thin=1, seed=s)
             ).estimate
             for s in range(20)
         ]
@@ -138,8 +137,8 @@ class TestRandomWalkEstimate:
     def test_determinism_and_trace(self):
         g = random_connected_graph(50, seed=5, extra_edges=30)
         cfg = WalkConfig(t_star=10, r=50, thin=2, seed=77)
-        a = random_walk_estimate(local_oracle(g), cfg, trace=True)
-        b = random_walk_estimate(local_oracle(g), cfg, trace=True)
+        a = random_walk_estimate(LocalOracle(g), cfg, trace=True)
+        b = random_walk_estimate(LocalOracle(g), cfg, trace=True)
         assert a.nodes == b.nodes
         assert a.estimate == b.estimate
         assert len(a.nodes) == cfg.total_steps + 1
@@ -147,7 +146,7 @@ class TestRandomWalkEstimate:
     def test_report_invariants(self):
         g = random_connected_graph(80, seed=9, extra_edges=60)
         cfg = WalkConfig(t_star=13, r=40, thin=5, seed=3)
-        report = random_walk_estimate(local_oracle(g), cfg)
+        report = random_walk_estimate(LocalOracle(g), cfg)
         assert report.total_steps == cfg.total_steps
         assert report.total_queries == 2 * report.total_steps
         assert report.distinct_nodes_seen <= min(g.n, report.total_steps + 1)
@@ -155,7 +154,7 @@ class TestRandomWalkEstimate:
     def test_zero_degree_error_names_node(self):
         g = build_graph([(1, 2)], 3)  # node 0 isolated
         with pytest.raises(ZeroDegreeNodeError, match="node 0"):
-            random_walk_estimate(local_oracle(g), WalkConfig(t_star=0, r=1, start=0))
+            random_walk_estimate(LocalOracle(g), WalkConfig(t_star=0, r=1, start=0))
 
     def test_pi_weighted_mean_is_moment_ratio(self):
         # exact statement of the stationary expectation, no simulation
@@ -174,7 +173,7 @@ class TestRandomWalkEstimate:
         hits = 0
         for seed in range(10):
             cfg = WalkConfig(t_star=plan.t_star, r=plan.r, thin=1, seed=seed)
-            estimate = random_walk_estimate(local_oracle(g), cfg).estimate
+            estimate = random_walk_estimate(LocalOracle(g), cfg).estimate
             hits += abs(estimate / t1 - 1.0) <= 0.1
         assert hits >= 9
 
@@ -183,7 +182,7 @@ class TestErrorCurve:
     def test_regular_graph_zero_error_everywhere(self):
         g = cycle_graph(64)
         points = error_curve(
-            local_oracle(g),
+            LocalOracle(g),
             t1_reference=2.0,
             lambda_reference=2.0,
             seeds=[1, 2, 3],
@@ -199,7 +198,7 @@ class TestErrorCurve:
         g = random_connected_graph(200, seed=3, extra_edges=150)
         t1 = t1_estimate(g).t1
         points = error_curve(
-            local_oracle(g),
+            LocalOracle(g),
             t1_reference=t1,
             lambda_reference=t1,
             seeds=[5],
@@ -215,7 +214,7 @@ class TestErrorCurve:
     def test_step_cap_emits_remaining_budgets(self):
         g = cycle_graph(30)
         points = error_curve(
-            local_oracle(g),
+            LocalOracle(g),
             t1_reference=2.0,
             lambda_reference=2.0,
             seeds=[1],
@@ -228,19 +227,19 @@ class TestErrorCurve:
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            error_curve(local_oracle(cycle_graph(3)), 1.0, 1.0, [], [1], t_star=0)
+            error_curve(LocalOracle(cycle_graph(3)), 1.0, 1.0, [], [1], t_star=0)
 
     @pytest.mark.parametrize("budgets", [[0], [2, -1]])
     def test_nonpositive_budget_rejected(self, budgets):
         with pytest.raises(ValueError, match="budgets must be positive node counts"):
-            error_curve(local_oracle(cycle_graph(3)), 1.0, 1.0, [0], budgets, t_star=0)
+            error_curve(LocalOracle(cycle_graph(3)), 1.0, 1.0, [0], budgets, t_star=0)
 
     @pytest.mark.parametrize(
         "t_star,thin,message",
         [(0, 0, "thinning must be at least 1"), (-4, 10, "burn-in must be nonnegative")],
     )
     def test_schedule_refused_like_walk_config(self, t_star, thin, message):
-        oracle = local_oracle(random_connected_graph(60, seed=2, extra_edges=40))
+        oracle = LocalOracle(random_connected_graph(60, seed=2, extra_edges=40))
         with pytest.raises(ValueError, match=message):
             WalkConfig(t_star=t_star, r=1, thin=thin)
         with pytest.raises(ValueError, match=message):
@@ -280,7 +279,7 @@ class TestWalkedComponent:
     def test_odd_thin_converges_on_the_star(self):
         # samples alternate center (degree 5) and leaf (1): the mean is m2/m1 = 3
         component, _ = _walked_component(BIPARTITE["star"][0], 9)
-        report = random_walk_estimate(local_oracle(component), WalkConfig(18, 1000, thin=9))
+        report = random_walk_estimate(LocalOracle(component), WalkConfig(18, 1000, thin=9))
         assert report.estimate == 3.0
 
     def test_even_thin_off_a_bipartite_component_is_allowed(self):
@@ -367,7 +366,7 @@ class TestWalkKernel:
            starts=st.lists(st.integers(0, 13), min_size=3, max_size=3), trace=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_reports_and_counters_match_step_loop(self, g, cfgs, starts, trace):
-        fast, slow = local_oracle(g), local_oracle(g)
+        fast, slow = LocalOracle(g), LocalOracle(g)
         checked, logged = _CheckedOracle(g), _CheckedOracle(g)
         for cfg, start in zip(cfgs, starts):
             cfg = dataclasses.replace(cfg, start=start % g.n)
@@ -404,7 +403,7 @@ class TestWalkKernel:
         start %= g.n
         if max_steps is None and max(budgets) > g.n:
             max_steps = 2000  # the default cap of 1000*n steps is slow in the step loop
-        oracle = local_oracle(g)
+        oracle = LocalOracle(g)
         kwargs = dict(t_star=t_star, thin=thin, start=start, max_steps=max_steps)
         (got, got_stuck) = _outcome(
             lambda: error_curve(oracle, 2.0, 3.0, seeds, budgets, **kwargs))
@@ -442,7 +441,7 @@ class TestWalkKernel:
     def test_corner_configs_on_a_chung_lu_core(self, cfg):
         ed = uniform_expected_degrees(300, 2.0, 9.0, seed=1)
         g, _ = largest_component(chung_lu_sample_fast(ed, 2))
-        oracle = local_oracle(g)
+        oracle = LocalOracle(g)
         assert random_walk_estimate(oracle, cfg, trace=True) == step_loop_walk_estimate(
             oracle, cfg, trace=True)
         budgets = [1, 2, g.n // 2, g.n, g.n + 5]
@@ -456,7 +455,7 @@ class TestWalkKernel:
 
     @pytest.mark.parametrize("start", [-1, -5, 5, 6, 10**9])
     def test_out_of_range_start_raises_index_error(self, start):
-        oracle = local_oracle(cycle_graph(5))
+        oracle = LocalOracle(cycle_graph(5))
         with pytest.raises(IndexError, match=f"node {start} out of range"):
             random_walk_estimate(oracle, WalkConfig(t_star=3, r=2, start=start))
         with pytest.raises(IndexError):
@@ -465,7 +464,7 @@ class TestWalkKernel:
     def test_isolated_start_charges_like_the_step_loop(self):
         g = build_graph([(1, 2)], 4)  # nodes 0 and 3 isolated
         checked = _CheckedOracle(g)
-        for oracle in (local_oracle(g), checked):
+        for oracle in (LocalOracle(g), checked):
             for start in (0, 3):
                 cfg = WalkConfig(t_star=2, r=3, start=start)
                 with pytest.raises(ZeroDegreeNodeError, match=f"node {start}"):
