@@ -107,7 +107,7 @@ def _cmd_generate(args) -> int:
     sidecar = {"model": args.model, **params, "n": g.n, "m": g.m, "seed": args.seed}
     if ed is not None:
         sidecar.update(
-            S=ed.S,
+            S=ed.mu1,
             delta_max=ed.delta_max,
             feasible=ed.feasible,
             clamped_entries=ed.clamped,

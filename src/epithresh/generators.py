@@ -46,12 +46,11 @@ class ExpectedDegrees:
     ----------
     delta : ndarray of float64
         Strictly positive expected degrees.
-    S : float
-        sum(delta); the edge-probability normalizer. Equal to mu1.
     delta_max, delta_min : float
         Extremes of delta.
     mu1, mu2 : float
-        First and second moments sum(delta), sum(delta**2).
+        First and second moments sum(delta), sum(delta**2). mu1 is the
+        edge-probability normalizer S.
     feasible : bool
         True iff delta_max**2 <= S, which guarantees every pair probability
         delta_i delta_j / S is at most 1.
@@ -61,7 +60,6 @@ class ExpectedDegrees:
     """
 
     delta: np.ndarray
-    S: float
     delta_max: float
     delta_min: float
     mu1: float
@@ -86,7 +84,6 @@ def expected_degrees(delta: np.ndarray, clamped: int = 0) -> ExpectedDegrees:
     d_max = float(arr.max())
     return ExpectedDegrees(
         delta=arr,
-        S=total,
         delta_max=d_max,
         delta_min=float(arr.min()),
         mu1=total,
@@ -138,13 +135,14 @@ def count_clamped_pairs(ed: ExpectedDegrees) -> int:
     """Exact number of pairs i < j whose raw probability delta_i delta_j / S
     exceeds 1 (deterministic; independent of any sampling seed)."""
     w = np.sort(ed.delta)  # ascending
+    S = ed.mu1
     total = 0
     n = len(w)
     for i in range(n - 1, 0, -1):
-        if w[i] * w[i - 1] <= ed.S:
+        if w[i] * w[i - 1] <= S:
             break
         # Smallest partner index j < i with w[j] * w[i] > S.
-        threshold = ed.S / w[i]
+        threshold = S / w[i]
         j = int(np.searchsorted(w[:i], threshold, side="right"))
         total += i - j
     return total
@@ -159,7 +157,7 @@ def _warn_if_infeasible(ed: ExpectedDegrees, where: str) -> None:
             else "no realized pair exceeds 1"
         )
         warnings.warn(
-            f"{where}: delta_max^2 = {ed.delta_max**2:.6g} exceeds S = {ed.S:.6g}; {detail}",
+            f"{where}: delta_max^2 = {ed.delta_max**2:.6g} exceeds S = {ed.mu1:.6g}; {detail}",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -180,7 +178,7 @@ def chung_lu_sample_naive(ed: ExpectedDegrees, seed: int) -> Graph:
         )
     _warn_if_infeasible(ed, "chung_lu_sample_naive")
     rng = np.random.default_rng(seed)
-    delta = ed.delta
+    delta, S = ed.delta, ed.mu1
     # Row i holds the pairs (i, j > i). A block of whole rows draws its
     # uniforms in one call, in the row-major order one call per row would.
     lens = np.arange(n - 1, 0, -1, dtype=np.int64)
@@ -195,7 +193,7 @@ def chung_lu_sample_naive(ed: ExpectedDegrees, seed: int) -> Graph:
         row_starts = ends[row:end] - block_lens - first  # within the block
         i = np.repeat(np.arange(row, end, dtype=np.int64), block_lens)
         j = np.arange(i.size) - np.repeat(row_starts, block_lens) + i + 1
-        hit = np.flatnonzero(rng.random(j.size) * ed.S < delta[i] * delta[j])
+        hit = np.flatnonzero(rng.random(j.size) * S < delta[i] * delta[j])
         edges_u.append(i[hit])
         edges_v.append(j[hit])
         row = end
@@ -219,7 +217,7 @@ def chung_lu_sample_fast(ed: ExpectedDegrees, seed: int) -> Graph:
     order = np.argsort(-ed.delta, kind="stable")
     w = ed.delta[order].tolist()
     ids = order.tolist()
-    S = ed.S
+    S = ed.mu1
     rng = random.Random(seed)
     rand = rng.random
     log = math.log

@@ -444,7 +444,7 @@ def per_row_chung_lu_sample(ed, seed: int) -> Graph:
         for i in range(row_start, row_end):
             tail = delta[i + 1 :]
             u = rng.random(n - 1 - i)
-            hit = np.flatnonzero(u * ed.S < delta[i] * tail)
+            hit = np.flatnonzero(u * ed.mu1 < delta[i] * tail)
             if hit.size:
                 edges_u.append(np.full(hit.size, i, dtype=np.int64))
                 edges_v.append(hit.astype(np.int64) + i + 1)

@@ -53,7 +53,7 @@ class TestPowerLawExpectedDegrees:
     def test_clamp_keeps_values_at_cap(self):
         ed = power_law_expected_degrees(50_000, 2.5, 1.0, seed=11)
         assert ed.clamped > 0
-        assert ed.delta_max <= np.sqrt(ed.S) * (1.0 + 1e-9) or not ed.feasible
+        assert ed.delta_max <= np.sqrt(ed.mu1) * (1.0 + 1e-9) or not ed.feasible
 
     def test_deterministic(self):
         a = power_law_expected_degrees(500, 2.5, 1.0, seed=9)
@@ -79,7 +79,7 @@ class TestUniformExpectedDegrees:
 class TestExpectedDegrees:
     def test_moments(self):
         ed = ed_of(1, 2, 3)
-        assert ed.S == ed.mu1 == 6.0
+        assert ed.mu1 == 6.0
         assert ed.mu2 == 14.0
         assert ed.delta_max == 3.0 and ed.delta_min == 1.0
 
@@ -205,7 +205,7 @@ class TestChungLuFast:
                 pairs = chung_lu_sample_fast(ed, seed).edge_pairs()
                 counts[pairs[:, 0], pairs[:, 1]] += 1
         iu = np.triu_indices(n, k=1)
-        exact = np.minimum(1.0, np.outer(delta, delta) / ed.S)[iu]
+        exact = np.minimum(1.0, np.outer(delta, delta) / ed.mu1)[iu]
         freq = counts[iu] / reps
         sigma = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / reps)
         assert np.all(freq[exact == 1.0] == 1.0)

@@ -23,9 +23,9 @@ from conftest import random_connected_graph, sampler_warning
 class TestThetaProductModel:
     def test_pair_probabilities_are_exact_products(self):
         ed = theta_product_expected_degrees(50, seed=3)
-        theta = ed.delta / ed.delta.sum() * math.sqrt(ed.S)
+        theta = ed.delta / ed.delta.sum() * math.sqrt(ed.mu1)
         # delta_i delta_j / S must equal theta_i theta_j
-        outer = np.outer(ed.delta, ed.delta) / ed.S
+        outer = np.outer(ed.delta, ed.delta) / ed.mu1
         assert np.allclose(outer, np.outer(theta, theta), rtol=1e-12)
         assert ed.feasible
         assert theta.max() < 0.25
