@@ -260,7 +260,7 @@ def _top_eigenpair(
     matvec: Matvec,
     x0: np.ndarray,
     tol: float,
-    max_steps: int,
+    max_iters: int,
     deflate: np.ndarray | None = None,
 ) -> tuple[float, int, float, bool]:
     """Largest eigenvalue of a symmetric operator by Lanczos, with a certificate.
@@ -273,15 +273,15 @@ def _top_eigenpair(
     checked on every step while k <= 32 and every 8 steps after that;
     ``converged`` means it fell below ``tol``, or that the recurrence broke
     down on an exactly invariant Krylov space. ``steps`` counts matvecs and
-    never exceeds ``max_steps``.
+    never exceeds ``max_iters``.
 
     No Krylov basis is stored. A cycle that reaches _KRYLOV_CAP steps
     unconverged regenerates its Lanczos vectors from the same start to form
     the Ritz vector (another k matvecs) and restarts from it, so memory
     stays O(n + _KRYLOV_CAP^2).
     """
-    if max_steps < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_steps}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     steps = 0
     x = x0
     while True:
@@ -298,7 +298,7 @@ def _top_eigenpair(
             beta.append(b)
             k = len(alpha)
             breakdown = b <= _BREAKDOWN * scale
-            last = breakdown or steps >= max_steps or k == _KRYLOV_CAP
+            last = breakdown or steps >= max_iters or k == _KRYLOV_CAP
             if not (last or k <= 32 or k % 8 == 0):
                 continue
             t = np.zeros((k, k))
@@ -311,7 +311,7 @@ def _top_eigenpair(
                 return theta, steps, residual, True
             if last:
                 break
-        if steps + k >= max_steps:
+        if steps + k >= max_iters:
             return theta, steps, residual, False
         x = np.zeros_like(q)
         for s_i, (q_i, _, _) in zip(s, _lanczos(matvec, q, deflate)):
