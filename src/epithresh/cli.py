@@ -24,8 +24,6 @@ from .estimators import (
     t1_estimate,
 )
 from .generators import (
-    chung_lu_sample_fast,
-    chung_lu_sample_naive,
     count_clamped_pairs,
     expected_degrees,
 )
@@ -101,9 +99,7 @@ def _given(args, names: tuple[str, ...]) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    sampler = chung_lu_sample_naive if args.sampler == "naive" else chung_lu_sample_fast
-    given = _given(args, _MODEL_PARAMS)
-    g, params, ed = model_graph(args.model, args.n, args.seed, given, sampler)
+    g, params, ed = model_graph(args.model, args.n, args.seed, _given(args, _MODEL_PARAMS))
     sidecar = {"model": args.model, **params, "n": g.n, "m": g.m, "seed": args.seed}
     if ed is not None:
         sidecar.update(
@@ -112,7 +108,7 @@ def _cmd_generate(args) -> int:
             feasible=ed.feasible,
             clamped_entries=ed.clamped,
             clamped_pairs=count_clamped_pairs(ed),
-            sampler=args.sampler,
+            sampler="fast",
         )
     write_edge_list(g, args.out)
     _emit(sidecar, args.out + ".json")
@@ -213,7 +209,7 @@ def _cmd_walk(args) -> int:
             oracle.close()
     payload = {
         "t2": report.estimate,
-        "r": report.r,
+        "r": cfg.r,
         "t_star": cfg.t_star,
         "thin": cfg.thin,
         "seed": cfg.seed,
@@ -324,7 +320,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="generate a synthetic graph edge list")
     _add_model_args(p)
-    p.add_argument("--sampler", choices=["fast", "naive"], default="fast")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)

@@ -192,23 +192,24 @@ def build_graph_with_report(
 
     Input pairs may repeat, appear in either orientation, or be self-loops;
     the result is the simple undirected graph on those edges. Raises
-    ValueError for ids outside [0, n), and, before allocating anything, for
-    n above _MAX_NODES. The pairs are only read: their int64 directed keys
-    ``src*_MAX_NODES + dst`` are written once, and one in-place sort of
-    them both dedupes the edges and orders them into CSR rows.
+    ValueError for ids that are not integers or lie outside [0, n), and,
+    before allocating anything, for n above _MAX_NODES. The pairs are only
+    read: their int64 directed keys ``src*_MAX_NODES + dst`` are written
+    once, and one in-place sort of them both dedupes the edges and orders
+    them into CSR rows.
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got {n}")
     if n > _MAX_NODES:
         raise ValueError(f"node count {n} exceeds the supported maximum {_MAX_NODES}")
-    if isinstance(edges, np.ndarray):
-        arr = edges.astype(np.int64, copy=False)
-    else:
-        arr = np.asarray(list(edges), dtype=np.int64)
+    arr = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges))
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edge list must be a sequence of (u, v) pairs")
+    if arr.size and arr.dtype.kind not in "iu":  # a cast would truncate 1.7 to 1
+        raise ValueError(f"edge endpoint ids must be integers, got {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         bad = arr[(arr < 0) | (arr >= n)]
         raise ValueError(f"edge endpoint {int(bad.flat[0])} out of range [0, {n})")

@@ -18,7 +18,7 @@ import io
 import math
 import os
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -216,15 +216,15 @@ def model_graph(
     n: int,
     seed: int,
     params: dict,
-    sampler: Callable[[ExpectedDegrees, int], Graph] = chung_lu_sample_fast,
 ) -> tuple[Graph, dict, ExpectedDegrees | None]:
     """The graph of a named model, the parameters it used, and its expected
     degrees (None for a model without them).
 
     "chung-lu" draws expected degrees from ``seed``, of ``deg_dist``
     "powerlaw" (``beta``, ``d_min``) or "uniform" (``low``, ``high``), and
-    samples the graph from them with ``sampler`` and ``seed + 1``. "pa" grows
-    a preferential-attachment graph of ``edges_per_node`` from ``seed``.
+    samples the graph from them with ``chung_lu_sample_fast`` and ``seed + 1``.
+    "pa" grows a preferential-attachment graph of ``edges_per_node`` from
+    ``seed``.
     Missing entries take their defaults; entries the model does not use are
     ignored.
     """
@@ -246,7 +246,7 @@ def model_graph(
         used = {"deg_dist": dist, "low": low, "high": high}
     else:
         raise ValueError(f"unknown degree distribution {dist!r}")
-    return sampler(ed, seed + 1), used, ed
+    return chung_lu_sample_fast(ed, seed + 1), used, ed
 
 
 def run_synthetic_experiment(

@@ -67,6 +67,8 @@ class SirParams:
             raise ValueError(f"mu must lie in (0, 1], got {self.mu}")
         if not self.initial_infected:
             raise ValueError("need at least one initially infected node")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError(f"max_steps must be nonnegative, got {self.max_steps}")
 
 
 @dataclass(frozen=True)

@@ -131,8 +131,7 @@ class _Walk:
     """One walk's position, step count, distinct nodes and degree samples
     (taken at steps t_star, t_star + thin, ...), stepped only by ``advance``."""
 
-    def __init__(self, oracle: GraphOracle, seed: int, start: int, path: list[int] | None,
-                 t_star: int, thin: int):
+    def __init__(self, oracle: GraphOracle, seed: int, start: int, t_star: int, thin: int):
         if type(oracle) is LocalOracle:
             oracle.degree(start)  # IndexError unless start is a node
             self._degree, self._neighbor = oracle._walk_accessors()
@@ -140,9 +139,6 @@ class _Walk:
         else:
             self._degree, self._neighbor = oracle.degree, oracle.neighbor
             self.visited = defaultdict(int)
-        if path is not None:
-            path.append(start)
-            self._neighbor = _recording(self._neighbor, path.append)
         self._getrandbits = random.Random(seed).getrandbits
         self.x = start
         self.steps = 0
@@ -182,17 +178,6 @@ class _Walk:
                     break
         self.x, self.count, self.steps = x, count, step + 1
         self.next_sample, self.acc, self.samples = next_sample, acc, samples
-
-
-def _recording(neighbor: Callable[[int, int], int], append: Callable[[int], None]):
-    """A neighbor accessor that also appends every answer to a path."""
-
-    def traced(v: int, k: int) -> int:
-        u = neighbor(v, k)
-        append(u)
-        return u
-
-    return traced
 
 
 # Steps between samples in the experiment protocol and the `walk` command.
@@ -251,21 +236,15 @@ class WalkConfig:
 
 @dataclass(frozen=True)
 class WalkReport:
-    """Outcome of one walk: the estimate plus full query accounting."""
+    """What one walk measured: its estimate and its query accounting."""
 
     estimate: float
-    r: int
     total_steps: int
     total_queries: int
     distinct_nodes_seen: int
-    start: int
-    seed: int
-    nodes: tuple[int, ...] | None = None
 
 
-def random_walk_estimate(
-    oracle: GraphOracle, cfg: WalkConfig, trace: bool = False
-) -> WalkReport:
+def random_walk_estimate(oracle: GraphOracle, cfg: WalkConfig) -> WalkReport:
     """Estimate m2/m1 by averaging degree samples along a uniform random walk.
 
     Burn-in runs ``cfg.t_star`` steps from ``cfg.start``; then each of the
@@ -274,23 +253,14 @@ def random_walk_estimate(
     the walk takes t_star + (r-1)*thin + 1 steps total. Fully deterministic
     given (oracle contents, cfg). Raises ZeroDegreeNodeError if the walk
     reaches an isolated node.
-
-    With ``trace=True`` the report also carries the visited node sequence
-    (start plus one node per step).
     """
-    path: list[int] | None = [] if trace else None
-    walk = _Walk(oracle, cfg.seed, cfg.start, path, cfg.t_star, cfg.thin)
+    walk = _Walk(oracle, cfg.seed, cfg.start, cfg.t_star, cfg.thin)
     walk.advance(cfg.total_steps)
-
     return WalkReport(
         estimate=walk.acc / cfg.r,
-        r=cfg.r,
         total_steps=walk.steps,
         total_queries=2 * walk.steps,
         distinct_nodes_seen=walk.count,
-        start=cfg.start,
-        seed=cfg.seed,
-        nodes=tuple(path) if path is not None else None,
     )
 
 
@@ -344,7 +314,7 @@ def error_curve(
     cap = max_steps if max_steps is not None else 1000 * oracle.node_count()
     points: list[CurvePoint] = []
     for seed in seeds:
-        walk = _Walk(oracle, seed, start, None, t_star, thin)
+        walk = _Walk(oracle, seed, start, t_star, thin)
         for budget in budgets:
             if walk.steps == 0 or (walk.count < budget and walk.steps < cap):
                 # on to the budget or the step cap, whichever comes first; a

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from epithresh.graph import Graph, build_graph
+from epithresh.walker import LocalOracle
 
 
 def traced_peak(call):
@@ -15,6 +16,42 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def walk_path(walk, oracle, cfg):
+    """``(walk(oracle, cfg), nodes)``: a walk's report and its path, which is
+    ``cfg.start`` then every answer of the neighbor accessor the walk called.
+
+    Both neighbor accessors of this one oracle instance record: its
+    ``neighbor``, and for a ``LocalOracle`` the unchecked one that
+    ``_walk_accessors`` hands the walk kernel. Both wrappers are removed
+    when the walk ends.
+    """
+    nodes = [cfg.start]
+
+    def recording(neighbor):
+        def recorded(v, k):
+            u = neighbor(v, k)
+            nodes.append(u)
+            return u
+
+        return recorded
+
+    oracle.neighbor = recording(oracle.neighbor)
+    if isinstance(oracle, LocalOracle):
+        accessors = oracle._walk_accessors
+
+        def walk_accessors():
+            degree, neighbor = accessors()
+            return degree, recording(neighbor)
+
+        oracle._walk_accessors = walk_accessors
+    try:
+        return walk(oracle, cfg), nodes
+    finally:
+        del oracle.neighbor
+        if isinstance(oracle, LocalOracle):
+            del oracle._walk_accessors
 
 
 def sampler_warning(model: str, params: dict):

@@ -205,9 +205,7 @@ def ccdf_slope(degrees: np.ndarray, d_low: int, d_high: int) -> float:
 # through the oracle's own degree/neighbor calls.
 
 
-def step_loop_walk_estimate(
-    oracle: GraphOracle, cfg: WalkConfig, trace: bool = False
-) -> WalkReport:
+def step_loop_walk_estimate(oracle: GraphOracle, cfg: WalkConfig) -> WalkReport:
     """Estimate m2/m1 by averaging degree samples along a uniform random walk.
 
     Burn-in runs ``cfg.t_star`` steps from ``cfg.start``; then each of the
@@ -216,9 +214,6 @@ def step_loop_walk_estimate(
     the walk takes t_star + (r-1)*thin + 1 steps total. Fully deterministic
     given (oracle contents, cfg). Raises ZeroDegreeNodeError if the walk
     reaches an isolated node.
-
-    With ``trace=True`` the report also carries the visited node sequence
-    (start plus one node per step).
     """
     rng = random.Random(cfg.seed)
     randrange = rng.randrange
@@ -228,7 +223,6 @@ def step_loop_walk_estimate(
     x = cfg.start
     queries = 0
     seen: set[int] = {x}
-    path: list[int] | None = [x] if trace else None
 
     def step() -> int:
         """Advance one step; returns the degree of the node being left."""
@@ -239,8 +233,6 @@ def step_loop_walk_estimate(
         x = neighbor(x, randrange(d))
         queries += 2
         seen.add(x)
-        if path is not None:
-            path.append(x)
         return d
 
     for _ in range(cfg.t_star):
@@ -254,13 +246,9 @@ def step_loop_walk_estimate(
 
     return WalkReport(
         estimate=acc / cfg.r,
-        r=cfg.r,
         total_steps=cfg.total_steps,
         total_queries=queries,
         distinct_nodes_seen=len(seen),
-        start=cfg.start,
-        seed=cfg.seed,
-        nodes=tuple(path) if path is not None else None,
     )
 
 

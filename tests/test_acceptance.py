@@ -36,6 +36,7 @@ from conftest import (
     random_connected_graph,
     random_graph,
     star_graph,
+    walk_path,
 )
 from oracles import jacobi_spectral_radius, pi_weighted_mean_degree
 
@@ -268,9 +269,9 @@ def test_criterion_08_walk_remote_equivalence():
             with RemoteOracle(server.address) as remote:
                 for seed in (1, 2, 3):
                     cfg = WalkConfig(t_star=11, r=80, thin=4, seed=seed)
-                    a = random_walk_estimate(LocalOracle(g), cfg, trace=True)
-                    b = random_walk_estimate(remote, cfg, trace=True)
-                    assert a.nodes == b.nodes
+                    a, a_nodes = walk_path(random_walk_estimate, LocalOracle(g), cfg)
+                    b, b_nodes = walk_path(random_walk_estimate, remote, cfg)
+                    assert a_nodes == b_nodes
                     assert a.estimate == b.estimate
                     assert a.total_queries == b.total_queries
                     assert a.distinct_nodes_seen == b.distinct_nodes_seen

@@ -76,6 +76,16 @@ class TestGenerate:
         g = read_edge_list(str(out))
         assert g.m == 10 + 4 * (200 - 5)
 
+    def test_dmin(self, tmp_path):
+        out = str(tmp_path / "cl.txt")
+        with sampler_warning("chung-lu", {"d_min": 2.0}):
+            assert run_cli(
+                "generate", "--model", "chung-lu", "--n", "300", "--seed", "3", "--dmin", "2",
+                "--out", out,
+            ) == 0
+            assert read_edge_list(out).identical(
+                model_graph("chung-lu", 300, 3, {"d_min": 2.0})[0])
+
 
 class TestExactAndEstimate:
     def test_exact_json(self, edge_file, capsys):
@@ -87,6 +97,14 @@ class TestExactAndEstimate:
         assert payload["gap_converged"]
         assert 0 <= payload["gap_residual"] < 1e-10
         assert payload["gap_iterations"] >= 1
+
+    def test_exact_solver_flags(self, edge_file, capsys):
+        argv = ("exact", "--in", edge_file, "--tol", "0", "--max-iters", "3", "--seed", "1")
+        assert run_cli(*argv) == 0
+        out = capsys.readouterr().out
+        assert '"iterations": 3' in out and '"converged": false' in out
+        want = spectral_radius(read_edge_list(edge_file), tol=0.0, max_iters=3, seed=1)
+        assert json.loads(out)["lambda"] == want.value
 
     def test_estimate_t1(self, edge_file, capsys):
         assert run_cli("estimate", "t1", "--in", edge_file) == 0
@@ -259,6 +277,15 @@ class TestSirCommands:
         assert lines[0] == "step,s,i,r"
         first = lines[1].split(",")
         assert first == ["0", "119", "1", "0"]
+
+    def test_sir_step_cap(self, edge_file, capsys):
+        argv = ("sir", "--in", edge_file, "--beta", "0.9", "--mu", "0.01")
+        assert run_cli(*argv, "--max-steps", "2") == 0
+        assert capsys.readouterr().out.endswith(" steps=2\n")
+        assert run_cli(*argv, "--max-steps", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_steps must be nonnegative" in captured.err
 
     def test_sweep_csv(self, edge_file, capsys):
         assert run_cli(

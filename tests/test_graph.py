@@ -69,8 +69,12 @@ class TestBuildGraph:
             ([(0, 1, 2)], 3, r"sequence of \(u, v\) pairs"),
             ([0, 1], 3, r"sequence of \(u, v\) pairs"),
             (np.zeros((2, 2, 2), dtype=np.int64), 3, r"sequence of \(u, v\) pairs"),
+            # a cast to int64 would truncate these to the edge (0, 1)
+            ([(0, 1.5)], 3, "must be integers"),
+            (np.array([[0.0, 1.0]]), 3, "must be integers"),
+            ([(0, "1")], 3, "must be integers"),
         ],
-        ids=["n=-1", "triple", "flat", "3-d"],
+        ids=["n=-1", "triple", "flat", "3-d", "float-id", "float-array", "str-id"],
     )
     def test_malformed_input_refused(self, edges, n, message):
         with pytest.raises(ValueError, match=message):

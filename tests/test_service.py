@@ -17,7 +17,7 @@ from epithresh.service import (
 )
 from epithresh.walker import LocalOracle, WalkConfig, error_curve, random_walk_estimate
 
-from conftest import neighbors_of, random_connected_graph, star_graph
+from conftest import neighbors_of, random_connected_graph, star_graph, walk_path
 
 
 @pytest.fixture
@@ -159,10 +159,10 @@ class TestRemoteOracle:
         cfg = WalkConfig(t_star=20, r=100, thin=3, seed=11)
         with OracleServer(g) as server:
             with _CountingRemote(server.address) as remote:
-                local_report = random_walk_estimate(LocalOracle(g), cfg, trace=True)
-                remote_report = random_walk_estimate(remote, cfg, trace=True)
+                local_report, local_nodes = walk_path(random_walk_estimate, LocalOracle(g), cfg)
+                remote_report, remote_nodes = walk_path(random_walk_estimate, remote, cfg)
                 stats = remote.stats()
-        assert remote_report.nodes == local_report.nodes
+        assert remote_nodes == local_nodes
         assert remote_report.estimate == local_report.estimate
         assert remote_report.total_queries == local_report.total_queries
         assert remote_report.distinct_nodes_seen == local_report.distinct_nodes_seen

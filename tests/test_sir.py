@@ -77,6 +77,12 @@ class TestSirSimulate:
         with pytest.raises(ValueError):
             SirParams(beta=0.5, mu=0.5, initial_infected=())
 
+    def test_negative_step_cap_is_refused(self):
+        with pytest.raises(ValueError, match="max_steps must be nonnegative"):
+            SirParams(beta=0.5, mu=0.5, initial_infected=(0,), max_steps=-1)
+        for cap in (0, None):
+            SirParams(beta=0.5, mu=0.5, initial_infected=(0,), max_steps=cap)
+
 
 @st.composite
 def sir_cases(draw):

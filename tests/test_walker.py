@@ -29,6 +29,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
     traced_peak,
+    walk_path,
 )
 from oracles import pi_weighted_mean_degree, step_loop_error_curve, step_loop_walk_estimate
 
@@ -87,8 +88,8 @@ class TestLocalOracle:
         assert not mapped.neighbors.flags.writeable
         here, there = LocalOracle(g), LocalOracle(mapped)
         cfg = WalkConfig(t_star=20, r=300, thin=3, seed=9)
-        assert random_walk_estimate(there, cfg, trace=True) == random_walk_estimate(
-            here, cfg, trace=True)
+        assert walk_path(random_walk_estimate, there, cfg) == walk_path(
+            random_walk_estimate, here, cfg)
         budgets = [10, g.n // 2, g.n]
         assert error_curve(there, 2.0, 3.0, [1, 2], budgets, t_star=0) == error_curve(
             here, 2.0, 3.0, [1, 2], budgets, t_star=0)
@@ -137,11 +138,11 @@ class TestRandomWalkEstimate:
     def test_determinism_and_trace(self):
         g = random_connected_graph(50, seed=5, extra_edges=30)
         cfg = WalkConfig(t_star=10, r=50, thin=2, seed=77)
-        a = random_walk_estimate(LocalOracle(g), cfg, trace=True)
-        b = random_walk_estimate(LocalOracle(g), cfg, trace=True)
-        assert a.nodes == b.nodes
+        a, a_nodes = walk_path(random_walk_estimate, LocalOracle(g), cfg)
+        b, b_nodes = walk_path(random_walk_estimate, LocalOracle(g), cfg)
+        assert a_nodes == b_nodes
         assert a.estimate == b.estimate
-        assert len(a.nodes) == cfg.total_steps + 1
+        assert len(a_nodes) == cfg.total_steps + 1
 
     def test_report_invariants(self):
         g = random_connected_graph(80, seed=9, extra_edges=60)
@@ -363,27 +364,27 @@ class TestWalkKernel:
     """The walk kernel against the per-step loops it replaced."""
 
     @given(g=_walk_graphs(), cfgs=st.lists(_configs, min_size=1, max_size=3),
-           starts=st.lists(st.integers(0, 13), min_size=3, max_size=3), trace=st.booleans())
+           starts=st.lists(st.integers(0, 13), min_size=3, max_size=3))
     @settings(max_examples=300, deadline=None)
-    def test_reports_and_counters_match_step_loop(self, g, cfgs, starts, trace):
+    def test_reports_and_counters_match_step_loop(self, g, cfgs, starts):
         fast, slow = LocalOracle(g), LocalOracle(g)
         checked, logged = _CheckedOracle(g), _CheckedOracle(g)
         for cfg, start in zip(cfgs, starts):
             cfg = dataclasses.replace(cfg, start=start % g.n)
-            want = _outcome(lambda: step_loop_walk_estimate(slow, cfg, trace=trace))
-            assert _outcome(lambda: random_walk_estimate(fast, cfg, trace=trace)) == want
-            # the per-query path: same report and the same queries, in order,
-            # as many as the report counts
+            want = _outcome(lambda: walk_path(step_loop_walk_estimate, slow, cfg))
+            assert _outcome(lambda: walk_path(random_walk_estimate, fast, cfg)) == want
+            # the per-query path: same report, the same path and the same
+            # queries, in order, as many as the report counts
             checked.log.clear()
             logged.log.clear()
-            assert _outcome(lambda: random_walk_estimate(checked, cfg, trace=trace)) == want
-            _outcome(lambda: step_loop_walk_estimate(logged, cfg, trace=trace))
+            assert _outcome(lambda: walk_path(random_walk_estimate, checked, cfg)) == want
+            _outcome(lambda: step_loop_walk_estimate(logged, cfg))
             assert checked.log == logged.log
-            report, _ = want
-            if report is not None:
+            walked, _ = want
+            if walked is not None:
+                report, nodes = walked
                 assert len(checked.log) == report.total_queries
-                if trace:
-                    assert len(report.nodes) == report.total_steps + 1
+                assert len(nodes) == report.total_steps + 1
 
     @given(g=_walk_graphs(), seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
            budgets=st.lists(st.integers(1, 17), min_size=1, max_size=5),
@@ -442,8 +443,8 @@ class TestWalkKernel:
         ed = uniform_expected_degrees(300, 2.0, 9.0, seed=1)
         g, _ = largest_component(chung_lu_sample_fast(ed, 2))
         oracle = LocalOracle(g)
-        assert random_walk_estimate(oracle, cfg, trace=True) == step_loop_walk_estimate(
-            oracle, cfg, trace=True)
+        assert walk_path(random_walk_estimate, oracle, cfg) == walk_path(
+            step_loop_walk_estimate, oracle, cfg)
         budgets = [1, 2, g.n // 2, g.n, g.n + 5]
         for max_steps in (0, 1, 400):
             _same_points(
@@ -527,8 +528,8 @@ class TestWalkKernel:
         what could be allocated are tallied as the set-based step loop did."""
         for seed in range(5):
             cfg = WalkConfig(t_star=7, r=30, thin=2, seed=seed, start=1)
-            assert random_walk_estimate(_Foreign(n), cfg, trace=True) == (
-                step_loop_walk_estimate(_Foreign(n), cfg, trace=True))
+            assert walk_path(random_walk_estimate, _Foreign(n), cfg) == (
+                walk_path(step_loop_walk_estimate, _Foreign(n), cfg))
         budgets = [1, 3, 6, 9, 11, 12]
         oracle = _Foreign(n)
         _same_points(
