@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 from dataclasses import asdict, astuple
 
 import numpy as np
@@ -231,13 +233,12 @@ def _cmd_serve(args) -> int:
     host, port = _parse_addr(args.addr)
     server = OracleServer(g, (host, port))
     bound_host, bound_port = server.address
+    stopped = threading.Event()
+    for sig in (signal.SIGTERM, signal.SIGINT):  # also when started with SIGINT ignored
+        signal.signal(sig, lambda *_: stopped.set())
     print(f"serving oracle for n={g.n}, m={g.m} on {bound_host}:{bound_port}", flush=True)
     try:
-        import threading
-
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
+        stopped.wait()
     finally:
         server.stop()
     return 0

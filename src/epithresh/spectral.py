@@ -5,16 +5,20 @@ judged against; the gap of the degree-normalized adjacency controls how
 many random-walk samples are needed. Both come from one Lanczos solver
 that keeps O(n) vectors and no Krylov basis. Its matvec sums the rows of
 at most 8 entries one column at a time from an int64 index of their
-neighbours (8 B per such entry), and the longer rows by ``reduceat`` over
-row blocks of at most 2^18 neighbour entries (a node of higher degree is a
-block of its own), so a solve holds O(n), that index and one 2 MiB block
-however many edges the graph has. Both paths add a row's entries in the
-order one ``reduceat`` over all rows does, so every product is
-bit-identical to it. The solver stops on the Ritz residual |beta_k s_k|,
-which bounds the distance from the reported value to an eigenvalue of
-the operator (Paige, 1980), so ``converged`` is a certificate rather
-than a stalled estimate. Bipartite +/- eigenvalue pairs do not slow it
-down.
+neighbours (8 B per such entry), and the longer (heavy) rows by
+``reduceat`` over row blocks of at most 2^18 neighbour entries (a node of
+higher degree is a block of its own). A block whose heavy rows hold fewer
+than half of its entries keeps an int64 copy of just those entries and
+gathers only them; any other block gathers its rows in place, and a block
+with no heavy row is skipped. A copy holds at most half a block and fewer
+entries than the block's light rows put in the index, so a solve holds
+O(n), at most twice that index and one 2 MiB block however many edges the
+graph has. Both paths add a row's entries in the order one ``reduceat``
+over all rows does, so every product is bit-identical to it. The solver
+stops on the Ritz residual |beta_k s_k|, which bounds the distance from
+the reported value to an eigenvalue of the operator (Paige, 1980), so
+``converged`` is a certificate rather than a stalled estimate. Bipartite
++/- eigenvalue pairs do not slow it down.
 """
 
 from __future__ import annotations
@@ -123,20 +127,31 @@ def _adjacency_operator(g: Graph) -> Matvec:
       order ``reduceat`` uses, with no per-row cost.
     - Heavy rows, by ``reduceat`` over row blocks of at most _MATVEC_BLOCK
       neighbour entries (a longer row is a block of its own), so a call
-      holds O(n) plus one block. A one-byte-per-row mask marks the segment
-      starts: each heavy row and the next nonempty row after it. Every
-      heavy row's sum is thus its own segment in CSR order; the other sums
-      land on light rows, which the light pass overwrites.
+      holds O(n) plus one block. Each block is one of two kinds, chosen
+      from its degrees:
+
+      - Copied, when its heavy rows hold fewer than half of its entries:
+        an int64 copy of those entries in CSR order, each row's start in
+        it, and the rows' positions in the block. A call gathers only the
+        copy, one segment per heavy row. The copy holds at most half a
+        block, and fewer entries than the block's light rows put in the
+        columns.
+      - Viewed, otherwise: a call gathers ``neighbors`` over the whole
+        block. A one-byte-per-row mask marks the segment starts: each
+        heavy row and the next nonempty row after it. Every heavy row's
+        sum is thus its own segment in CSR order; the other sums land on
+        light rows, which the light pass overwrites.
+
+      A block with no heavy row is dropped.
 
     Degree-0 rows are in neither and stay 0.
     """
     offsets, degrees, neighbors = g.offsets, g.degrees, g.neighbors
+    heavy = degrees > _LIGHT
     nonempty = np.flatnonzero(degrees)
-    heavy = degrees[nonempty] > _LIGHT
-    starts = np.zeros(g.n, dtype=bool)
-    starts[nonempty[heavy]] = True
-    starts[nonempty[1:][heavy[:-1]]] = True
-    light = nonempty[~heavy]
+    starts = heavy.copy()
+    starts[nonempty[1:][heavy[nonempty[:-1]]]] = True
+    light = nonempty[~heavy[nonempty]]
     light = light[np.argsort(-degrees[light], kind="stable")]
     light_degrees, row_starts = degrees[light], offsets[light]
     columns = []  # column j: neighbour j of the light rows of degree > j
@@ -146,22 +161,29 @@ def _adjacency_operator(g: Graph) -> Matvec:
             break
         columns.append(neighbors[row_starts[:k] + j])
 
-    bounds = []  # (first row, end row) of each block with a segment start
+    blocks = []  # (first row, end row, entries gathered, segment starts or None, rows written)
     r0 = 0
     while r0 < g.n:
         # the last row boundary at most one block past r0's start
         end = int(np.searchsorted(offsets, offsets[r0] + _MATVEC_BLOCK, "right")) - 1
         r1 = max(r0 + 1, end)
-        if starts[r0:r1].any():
-            bounds.append((r0, r1))
+        a, b = int(offsets[r0]), int(offsets[r1])
+        d, h = degrees[r0:r1], heavy[r0:r1]
+        hd = d[h]
+        heavy_entries = int(hd.sum())
+        if heavy_entries and 2 * heavy_entries < b - a:
+            cols = neighbors[a:b][np.repeat(h, d)]
+            blocks.append((r0, r1, cols, np.cumsum(hd) - hd, np.flatnonzero(h)))
+        elif heavy_entries:
+            blocks.append((r0, r1, neighbors[a:b], None, starts[r0:r1]))
         r0 = r1
 
     def matvec(x: np.ndarray) -> np.ndarray:
         out = np.zeros(g.n, dtype=np.float64)
-        for r0, r1 in bounds:
-            a, b = offsets[r0], offsets[r1]
-            s = starts[r0:r1]
-            out[r0:r1][s] = np.add.reduceat(x[neighbors[a:b]], offsets[r0:r1][s] - a)
+        for r0, r1, cols, segs, rows in blocks:
+            if segs is None:  # a view of the CSR rows: segments start at their offsets
+                segs = offsets[r0:r1][rows] - offsets[r0]
+            out[r0:r1][rows] = np.add.reduceat(x[cols], segs)
         if columns:
             acc = x[columns[0]]
             if len(columns) > 1:

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -18,6 +19,7 @@ from epithresh.harness import (
     write_curve_csv,
     write_records_csv,
 )
+from epithresh.service import RemoteOracle
 from epithresh.sir import threshold_sweep
 from epithresh.spectral import spectral_gap, spectral_radius
 from epithresh.walker import _default_t_star
@@ -38,18 +40,24 @@ def run_cli(*argv) -> int:
 
 
 @contextmanager
-def served(path: str):
+def served(path: str, stop=signal.SIGINT, preexec_fn=None):
     """Run `epithresh serve --in path` in a subprocess; yield its start-up
-    line and its address as host:port."""
+    line, its address as host:port and the process. On exit send it
+    ``stop``, and kill it if it has not ended within 30 s."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epithresh.__file__)))
     argv = [sys.executable, "-m", "epithresh.cli", "serve", "--in", path]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env) as proc:
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, text=True, env=env, preexec_fn=preexec_fn
+    ) as proc:
         try:
             line = proc.stdout.readline()
-            yield line, line.rsplit(" on ", 1)[1].strip()
+            yield line, line.rsplit(" on ", 1)[1].strip(), proc
         finally:
-            proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=30)
+            proc.send_signal(stop)
+            try:
+                proc.wait(timeout=30)
+            finally:
+                proc.kill()  # does nothing once it has been reaped
 
 
 class TestGenerate:
@@ -247,7 +255,7 @@ class TestDisconnectedFile:
         assert mapping[inside] != inside and mapping[outside] == -1 < mapping[inside]
         cases = [("--r", "300", "--tstar", "9", "--seed", "3"), ("--r", "200", "--seed", "8")]
         remote = []
-        with served(power_law_file) as (line, addr):
+        with served(power_law_file) as (line, addr, _):
             assert f"n={component.n}, m={component.m} on " in line
             for flags in cases:
                 start = str(mapping[inside])
@@ -265,6 +273,29 @@ class TestDisconnectedFile:
         assert remote[1]["t_star"] == _default_t_star(component.n)
         assert run_cli("walk", "--in", power_law_file, "--start", str(outside), "--r", "5") == 2
         assert "not in the walked component" in capsys.readouterr().err
+
+
+class TestServeStops:
+    """`serve` stops the server and exits 0 on SIGTERM, and on SIGINT also
+    when it starts with SIGINT ignored, as a background job of a
+    non-interactive shell does."""
+
+    @pytest.mark.parametrize(
+        "stop, preexec_fn",
+        [
+            (signal.SIGTERM, None),
+            (signal.SIGINT, lambda: signal.signal(signal.SIGINT, signal.SIG_IGN)),
+        ],
+        ids=["SIGTERM", "SIGINT-ignored-at-start"],
+    )
+    def test_signal_stops_the_server(self, edge_file, stop, preexec_fn):
+        with served(edge_file, stop, preexec_fn) as (_, addr, proc):
+            host, port = addr.rsplit(":", 1)
+            with RemoteOracle((host, int(port))) as remote:
+                assert remote.degree(0) > 0
+        assert proc.returncode == 0
+        with socket.socket() as sock:  # the port is free again
+            sock.bind((host, int(port)))
 
 
 class TestSirCommands:

@@ -68,6 +68,47 @@ LIGHT_AND_HEAVY = build_graph(
 )
 
 
+def stars_of_paths(spokes: tuple[int, ...], length: int):
+    """A hub per entry of ``spokes``, joined to that many paths of ``length``
+    nodes and to the next hub: a few heavy rows among many light ones. In
+    node order each hub comes right before its paths."""
+    edges, hub = [], 0
+    for i, k in enumerate(spokes):
+        edges += [(hub, hub + 1 + s * length) for s in range(k)]
+        edges += [(v, v + 1) for v in range(hub + 1, hub + k * length) if (v - hub) % length]
+        if i + 1 < len(spokes):
+            edges.append((hub, hub + 1 + k * length))
+        hub += 1 + k * length
+    return build_graph(edges, hub)
+
+
+STARS_OF_PATHS = stars_of_paths((9, 12, 40), 6)
+
+
+def power_law_graph(n: int, d_min: float, seed: int):
+    """A power-law (beta 2.5) Chung-Lu sample, expected degrees from ``seed``
+    and the sample from ``seed + 1``; its largest expected degrees exceed
+    the model's bound, and the sampler says so."""
+    ed = power_law_expected_degrees(n, 2.5, d_min, seed=seed)
+    with pytest.warns(RuntimeWarning, match="exceeds S"):
+        return chung_lu_sample_fast(ed, seed + 1)
+
+
+def block_gathers(g) -> list[bool]:
+    """Per row block of ``g``'s operator: True where it gathers through a view
+    of the CSR neighbours, False where through its own copy of the heavy
+    rows' entries. Checks that every block holds a heavy row and that every
+    copy holds fewer than half of its block's entries."""
+    op = spectral._adjacency_operator(g)
+    blocks = op.__closure__[op.__code__.co_freevars.index("blocks")].cell_contents
+    views = []
+    for r0, r1, cols, _, _ in blocks:
+        assert (g.degrees[r0:r1] > spectral._LIGHT).any()
+        views.append(np.shares_memory(cols, g.neighbors))
+        assert views[-1] or 2 * len(cols) < g.offsets[r1] - g.offsets[r0]
+    return views
+
+
 def signed_zeros_and_magnitudes(n: int, seed: int) -> np.ndarray:
     """Normal entries scaled by 10^-8..10^8, a fifth of them +0.0 and a fifth
     -0.0, so that any change in the order of a row's additions shows."""
@@ -174,6 +215,22 @@ class TestSpectralRadius:
             mp.setattr(spectral, "_MATVEC_BLOCK", block)
             assert_same_bits(adjacency_matvec(g, x), one_reduceat(g, x))
 
+    def test_copied_heavy_rows_equal_one_gather(self, monkeypatch):
+        # a block whose heavy rows hold under half of its entries gathers a
+        # copy of theirs, any other block a view of its CSR rows; blocks of
+        # one entry, blocks that cut rows and blocks of whole graphs all give
+        # the bits of one reduceat
+        core, _ = largest_component(power_law_graph(2000, 1.0, 5))
+        for g in (STARS_OF_PATHS, core):
+            x = signed_zeros_and_magnitudes(g.n, seed=g.n)
+            want = one_reduceat(g, x)
+            views = set()
+            for block in (1, 5, 13, 37, 64, 1 << 12, spectral._MATVEC_BLOCK):
+                monkeypatch.setattr(spectral, "_MATVEC_BLOCK", block)
+                views.update(block_gathers(g))
+                assert_same_bits(adjacency_matvec(g, x), want)
+            assert views == {True, False}
+
     @pytest.mark.parametrize("bad", [(9,), (11,), (10, 1), ()])
     def test_matvec_refuses_a_wrong_sized_vector(self, bad):
         g = path_graph(10)
@@ -183,15 +240,19 @@ class TestSpectralRadius:
     def test_solvers_do_not_depend_on_the_block(self, monkeypatch):
         g = random_connected_graph(400, seed=9, extra_edges=800)
         assert spectral.bipartite_coloring(g) is None
+        core, _ = largest_component(power_law_graph(2000, 1.0, 5))
         want = (spectral_radius(g), spectral_gap(g), tv_mixing_time(g, 0))
+        want_core = (spectral_radius(core), spectral_gap(core))
         monkeypatch.setattr(spectral, "_MATVEC_BLOCK", 37)
         assert 2 * g.m > 40 * spectral._MATVEC_BLOCK  # dozens of blocks
+        assert set(block_gathers(core)) == {True, False}  # copies and views
         assert (spectral_radius(g), spectral_gap(g), tv_mixing_time(g, 0)) == want
+        assert (spectral_radius(core), spectral_gap(core)) == want_core
 
     def test_matvec_memory_does_not_grow_with_edges(self, monkeypatch):
         # out, one block's gather, and at most three row-sized temporaries of
         # the block (its row starts, their shift, the row sums), plus 16 KiB
-        # for the block bounds
+        # for the block list
         block = 1 << 12
         monkeypatch.setattr(spectral, "_MATVEC_BLOCK", block)
         n = 2_000
@@ -207,16 +268,24 @@ class TestSpectralRadius:
 
     def test_light_row_index_memory(self, monkeypatch):
         # the bound above plus the light-row columns: 8 B per entry of a row
-        # of at most _LIGHT entries
+        # of at most _LIGHT entries. A block copies its heavy rows' entries
+        # only when they are fewer than its light ones, so the power-law
+        # graphs' copies fit the same bound.
         block = 1 << 12
         monkeypatch.setattr(spectral, "_MATVEC_BLOCK", block)
-        n = 2_000
-        for low, high, seed in ((1.0, 4.0, 5), (1.0, 9.0, 7)):
-            g = chung_lu_sample_fast(uniform_expected_degrees(n, low, high, seed=seed), seed + 1)
+        uniform = [
+            chung_lu_sample_fast(uniform_expected_degrees(2_000, low, high, seed=seed), seed + 1)
+            for low, high, seed in ((1.0, 4.0, 5), (1.0, 9.0, 7))
+        ]
+        power_law = [power_law_graph(n, d_min, seed) for n, d_min, seed in
+                     ((2_000, 1.0, 5), (2_000, 3.0, 7), (3_000, 1.0, 9))]
+        for g in uniform:  # most of the 2m entries are in light rows
+            assert int(g.degrees[g.degrees <= spectral._LIGHT].sum()) > g.m
+        assert any(False in block_gathers(g) for g in power_law)  # some blocks copy
+        for g in uniform + power_law:
             d = g.degrees
             light_entries = int(d[d <= spectral._LIGHT].sum())
-            assert light_entries > g.m  # most of the 2m entries are in light rows
-            bound = 8 * (4 * n + block) + (16 << 10) + 8 * light_entries
+            bound = 8 * (4 * g.n + block) + (16 << 10) + 8 * light_entries
             x = np.ones(g.n)
             y, peak = traced_peak(lambda: adjacency_matvec(g, x))
             assert np.array_equal(y, g.degrees)
