@@ -25,7 +25,6 @@ from .estimators import (
 from .generators import (
     ExpectedDegrees,
     chung_lu_sample_fast,
-    chung_lu_sample_naive,
     count_clamped_pairs,
     expected_degrees,
     power_law_expected_degrees,

@@ -1,11 +1,14 @@
 """Seedable random-graph generators: expected-degree (Chung-Lu) models and
 preferential attachment.
 
-Two Chung-Lu samplers share identical per-pair edge probabilities
-min(1, delta_i delta_j / S): a quadratic reference sampler kept as the
-correctness oracle, and a weight-sorted edge-skipping sampler whose
-expected runtime is O(n + m) so 50k-node instances finish in seconds.
-Identical (parameters, seed) always reproduce identical edge lists.
+The Chung-Lu sampler draws each pair i < j independently with probability
+min(1, delta_i delta_j / S). It sorts the weights and skips geometrically
+between candidate pairs (Miller & Hagberg, WAW 2011), so its expected
+runtime is O(n + m) and 50k-node instances finish in seconds. It records
+only the column of each kept pair and writes the pairs' directed keys
+straight into the buffer that becomes the CSR, about 24 bytes per edge at
+its peak. Identical (parameters, seed) always reproduce identical edge
+lists.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import _MAX_NODES, Graph, _keys_to_csr, build_graph
 
 __all__ = [
     "ExpectedDegrees",
@@ -25,17 +29,9 @@ __all__ = [
     "power_law_expected_degrees",
     "uniform_expected_degrees",
     "count_clamped_pairs",
-    "chung_lu_sample_naive",
     "chung_lu_sample_fast",
     "preferential_attachment",
-    "NAIVE_SAMPLER_NODE_GUARD",
 ]
-
-NAIVE_SAMPLER_NODE_GUARD = 20_000
-
-# Candidate pairs per block of the reference sampler; peak memory is a few
-# arrays of this many 8-byte values.
-_NAIVE_BLOCK_PAIRS = 2**18
 
 
 @dataclass(frozen=True)
@@ -163,66 +159,35 @@ def _warn_if_infeasible(ed: ExpectedDegrees, where: str) -> None:
         )
 
 
-def chung_lu_sample_naive(ed: ExpectedDegrees, seed: int) -> Graph:
-    """Reference sampler: every pair i < j independently with probability
-    min(1, delta_i delta_j / S).
-
-    Quadratic in n, so refuses n > NAIVE_SAMPLER_NODE_GUARD. Kept as the
-    distributional oracle for the fast sampler.
-    """
-    n = ed.n
-    if n > NAIVE_SAMPLER_NODE_GUARD:
-        raise ValueError(
-            f"naive sampler is quadratic; n = {n} exceeds the "
-            f"{NAIVE_SAMPLER_NODE_GUARD}-node guard"
-        )
-    _warn_if_infeasible(ed, "chung_lu_sample_naive")
-    rng = np.random.default_rng(seed)
-    delta, S = ed.delta, ed.mu1
-    # Row i holds the pairs (i, j > i). A block of whole rows draws its
-    # uniforms in one call, in the row-major order one call per row would.
-    lens = np.arange(n - 1, 0, -1, dtype=np.int64)
-    ends = np.cumsum(lens)
-    edges_u: list[np.ndarray] = []
-    edges_v: list[np.ndarray] = []
-    row = 0
-    while row < n - 1:
-        first = ends[row] - lens[row]
-        end = max(row + 1, int(np.searchsorted(ends, first + _NAIVE_BLOCK_PAIRS, "right")))
-        block_lens = lens[row:end]
-        row_starts = ends[row:end] - block_lens - first  # within the block
-        i = np.repeat(np.arange(row, end, dtype=np.int64), block_lens)
-        j = np.arange(i.size) - np.repeat(row_starts, block_lens) + i + 1
-        hit = np.flatnonzero(rng.random(j.size) * S < delta[i] * delta[j])
-        edges_u.append(i[hit])
-        edges_v.append(j[hit])
-        row = end
-    if edges_u:
-        pairs = np.column_stack((np.concatenate(edges_u), np.concatenate(edges_v)))
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    return build_graph(pairs, n)
-
-
 def chung_lu_sample_fast(ed: ExpectedDegrees, seed: int) -> Graph:
-    """Edge-skipping sampler with the same per-pair marginals as the naive one.
+    """Edge-skipping sampler: each pair i < j independently with probability
+    min(1, delta_i delta_j / S), in expected O(n + m) time.
 
     Weights are sorted descending; within each row the candidate index jumps
-    geometrically under the current probability upper bound and accepted
+    geometrically under the current probability upper bound and is accepted
     with the exact ratio, which yields independent Bernoulli(min(1, w_i w_j / S))
-    pair outcomes in expected O(n + m) time.
+    pair outcomes.
+
+    Each kept pair costs one int64 in the record: its column in the sorted
+    order, with the number of pairs kept so far stored after each row. Both
+    directed keys of every pair are then written in place into one buffer
+    that ``graph._keys_to_csr`` sorts into the CSR, so the draw peaks at
+    about 24 bytes per edge plus a few dozen per node. Raises ValueError for
+    n above the graph's supported maximum.
     """
-    _warn_if_infeasible(ed, "chung_lu_sample_fast")
     n = ed.n
+    if n > _MAX_NODES:
+        raise ValueError(f"node count {n} exceeds the supported maximum {_MAX_NODES}")
+    _warn_if_infeasible(ed, "chung_lu_sample_fast")
     order = np.argsort(-ed.delta, kind="stable")
     w = ed.delta[order].tolist()
-    ids = order.tolist()
     S = ed.mu1
     rng = random.Random(seed)
     rand = rng.random
     log = math.log
-    us: list[int] = []
-    vs: list[int] = []
+    kept = array("q")  # the column j of each kept pair, row by row
+    keep = kept.append
+    ends = array("q", [0]) * (n - 1)  # len(kept) after each row
     for i in range(n - 1):
         wi = w[i]
         j = i + 1
@@ -238,12 +203,24 @@ def chung_lu_sample_fast(ed: ExpectedDegrees, seed: int) -> Graph:
                 if q > 1.0:
                     q = 1.0
                 if rand() < q / p:
-                    us.append(ids[i])
-                    vs.append(ids[j])
+                    keep(j)
                 p = q
                 j += 1
-    pairs = np.column_stack((np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)))
-    return build_graph(pairs, n)
+        ends[i] = len(kept)
+    del w  # the peak comes next, with every pair both in kept and in keys
+    k = len(kept)
+    keys = np.empty(2 * k, dtype=np.int64)
+    u, v = keys[:k], keys[k:]  # each pair's key from its row's node, and back
+    # every j is below n, so "clip" never clips; "raise" would buffer out
+    np.take(order, np.frombuffer(kept, dtype=np.int64), out=v, mode="clip")
+    del kept, keep
+    rows = np.repeat(order[: n - 1], np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0))
+    np.multiply(rows, _MAX_NODES, out=u)
+    u += v
+    v *= _MAX_NODES
+    v += rows
+    del rows
+    return _keys_to_csr(keys, n)
 
 
 def preferential_attachment(n: int, edges_per_node: int, seed: int) -> Graph:

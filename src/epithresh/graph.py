@@ -243,7 +243,8 @@ def _frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
     starts = g.offsets[frontier]
     lens = g.degrees[frontier]
     total = int(lens.sum())
-    pos = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    pos = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    pos += np.arange(total)
     return g.neighbors[pos]
 
 

@@ -217,7 +217,7 @@ class RemoteOracle(GraphOracle):
 
     def __init__(self, address: tuple[str, int], timeout: float = 10.0):
         self._sock = socket.create_connection(address, timeout=timeout)
-        self._file = self._sock.makefile("rwb")
+        self._file = self._sock.makefile("rb")
         # u and deg(u) from the last STEP reply
         self._last_u: int | None = None
         self._last_degree = 0
@@ -230,8 +230,7 @@ class RemoteOracle(GraphOracle):
             raise
 
     def _exchange(self, request: str) -> str:
-        self._file.write((request + "\n").encode(_ENCODING))
-        self._file.flush()
+        self._sock.sendall((request + "\n").encode(_ENCODING))
         raw = _read_line(self._file)
         if raw is None:
             raise OracleProtocolError(f"reply to {request!r} exceeds {_MAX_LINE} bytes")

@@ -9,8 +9,8 @@ distributions, the per-step walk and error-curve loops over the oracle's
 own counted queries, a Hill estimator for tail exponents, the
 separate connectivity BFS and per-node stack 2-coloring that the one
 component traversal replaced, that traversal's former top-down-only
-loop, the per-row reference sampler that now
-draws a block at a time, and the SIR step that recounted the infected
+loop, the quadratic reference Chung-Lu sampler and its former per-row
+loop, and the SIR step that recounted the infected
 nodes' neighbors every step.
 """
 
@@ -20,6 +20,7 @@ import random
 
 import numpy as np
 
+from epithresh.generators import ExpectedDegrees, _warn_if_infeasible
 from epithresh.graph import (
     EdgeListParseError,
     Graph,
@@ -417,6 +418,54 @@ def bipartite_coloring(g: Graph) -> np.ndarray | None:
                 elif color[v] == cu:
                     return None
     return color.astype(np.int64)
+
+
+NAIVE_SAMPLER_NODE_GUARD = 20_000
+
+# Candidate pairs per block of the reference sampler; peak memory is a few
+# arrays of this many 8-byte values.
+_NAIVE_BLOCK_PAIRS = 2**18
+
+
+def chung_lu_sample_naive(ed: ExpectedDegrees, seed: int) -> Graph:
+    """Reference sampler: every pair i < j independently with probability
+    min(1, delta_i delta_j / S).
+
+    Quadratic in n, so refuses n > NAIVE_SAMPLER_NODE_GUARD. Kept as the
+    distributional oracle for the fast sampler.
+    """
+    n = ed.n
+    if n > NAIVE_SAMPLER_NODE_GUARD:
+        raise ValueError(
+            f"naive sampler is quadratic; n = {n} exceeds the "
+            f"{NAIVE_SAMPLER_NODE_GUARD}-node guard"
+        )
+    _warn_if_infeasible(ed, "chung_lu_sample_naive")
+    rng = np.random.default_rng(seed)
+    delta, S = ed.delta, ed.mu1
+    # Row i holds the pairs (i, j > i). A block of whole rows draws its
+    # uniforms in one call, in the row-major order one call per row would.
+    lens = np.arange(n - 1, 0, -1, dtype=np.int64)
+    ends = np.cumsum(lens)
+    edges_u: list[np.ndarray] = []
+    edges_v: list[np.ndarray] = []
+    row = 0
+    while row < n - 1:
+        first = ends[row] - lens[row]
+        end = max(row + 1, int(np.searchsorted(ends, first + _NAIVE_BLOCK_PAIRS, "right")))
+        block_lens = lens[row:end]
+        row_starts = ends[row:end] - block_lens - first  # within the block
+        i = np.repeat(np.arange(row, end, dtype=np.int64), block_lens)
+        j = np.arange(i.size) - np.repeat(row_starts, block_lens) + i + 1
+        hit = np.flatnonzero(rng.random(j.size) * S < delta[i] * delta[j])
+        edges_u.append(i[hit])
+        edges_v.append(j[hit])
+        row = end
+    if edges_u:
+        pairs = np.column_stack((np.concatenate(edges_u), np.concatenate(edges_v)))
+    else:
+        pairs = np.empty((0, 2), dtype=np.int64)
+    return build_graph(pairs, n)
 
 
 def per_row_chung_lu_sample(ed, seed: int) -> Graph:

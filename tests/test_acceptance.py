@@ -17,7 +17,6 @@ from scipy import stats as sps
 from epithresh.estimators import relative_error, sample_size, t1_estimate
 from epithresh.generators import (
     chung_lu_sample_fast,
-    chung_lu_sample_naive,
     power_law_expected_degrees,
     preferential_attachment,
     uniform_expected_degrees,
@@ -38,7 +37,7 @@ from conftest import (
     star_graph,
     walk_path,
 )
-from oracles import jacobi_spectral_radius, pi_weighted_mean_degree
+from oracles import chung_lu_sample_naive, jacobi_spectral_radius, pi_weighted_mean_degree
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

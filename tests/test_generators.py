@@ -10,7 +10,6 @@ from scipy import stats as sps
 from epithresh import generators
 from epithresh.generators import (
     chung_lu_sample_fast,
-    chung_lu_sample_naive,
     count_clamped_pairs,
     expected_degrees,
     power_law_expected_degrees,
@@ -19,7 +18,14 @@ from epithresh.generators import (
 )
 from epithresh.graph import build_graph
 
-from oracles import ccdf_slope, hill_tail_exponent, per_row_chung_lu_sample
+import oracles
+from conftest import traced_peak
+from oracles import (
+    ccdf_slope,
+    chung_lu_sample_naive,
+    hill_tail_exponent,
+    per_row_chung_lu_sample,
+)
 
 
 def ed_of(*values):
@@ -103,10 +109,11 @@ class TestExpectedDegrees:
 
 
 class TestChungLuNaive:
-    def test_forced_edge(self):
+    @pytest.mark.parametrize("sampler", [chung_lu_sample_naive, chung_lu_sample_fast])
+    def test_forced_edge(self, sampler):
         # delta = [2, 2]: p = 4/4 = 1, edge always present
         for seed in range(10):
-            assert chung_lu_sample_naive(ed_of(2, 2), seed).m == 1
+            assert sampler(ed_of(2, 2), seed).m == 1
 
     def test_edge_frequency_matches_closed_form(self):
         # delta = [1, 1]: p = 1/2; Monte Carlo over 10^4 seeds
@@ -141,7 +148,7 @@ class TestChungLuNaive:
     def test_blocks_draw_like_one_call_per_row(self, delta, seed, block):
         # blocks from one pair up to several rows, and one block for all rows
         ed = expected_degrees(np.asarray(delta))
-        with mock.patch.object(generators, "_NAIVE_BLOCK_PAIRS", block), warnings.catch_warnings():
+        with mock.patch.object(oracles, "_NAIVE_BLOCK_PAIRS", block), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # infeasible draws warn
             assert chung_lu_sample_naive(ed, seed).identical(per_row_chung_lu_sample(ed, seed))
 
@@ -218,6 +225,29 @@ class TestChungLuFast:
         naive = [chung_lu_sample_naive(ed, 10_000 + s).m for s in range(500)]
         result = sps.ks_2samp(fast, naive)
         assert result.pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "ed",
+        [
+            uniform_expected_degrees(2000, 20.0, 80.0, seed=3),
+            power_law_expected_degrees(3000, 2.5, 1.0, seed=2),  # clamped pairs
+        ],
+        ids=["uniform-2000", "power-law-3000"],
+    )
+    def test_draw_memory(self, ed):
+        # a kept pair is held as its column (8 bytes) and its two directed
+        # keys (16); each node costs its sort position, its row end and the
+        # weights the row loop reads
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the power-law draw warns
+            g, peak = traced_peak(lambda: chung_lu_sample_fast(ed, seed=4))
+        assert peak <= 24 * g.m + 64 * ed.n
+
+    def test_refuses_more_nodes_than_a_key_holds(self):
+        # the directed keys are src * cap + dst; a cap of 3 makes n = 4 too many
+        with mock.patch.object(generators, "_MAX_NODES", 3):
+            with pytest.raises(ValueError, match="node count 4 exceeds the supported maximum 3"):
+                chung_lu_sample_fast(ed_of(1, 1, 1, 1), seed=0)
 
     def test_mean_edge_mass_near_mu1(self):
         # E[m1] = mu1 - mu2/mu1 for feasible weights; 3 percent at n = 5000

@@ -9,9 +9,10 @@ No output that carries lambda has a digest here (``experiment``, ``sweep``,
 ``exact``, ``bounds``): OpenBLAS picks its ``ddot`` kernel by CPU model, so
 lambda's last digits can differ between machines, and those digests wait for
 fixed-order reductions in the solver. The inputs are preferential-attachment
-and uniform Chung-Lu graphs, not power-law ones: a sidecar prints ``S`` in
-full, and numpy may compute a power-law draw's ``**`` with a different SIMD
-routine on another CPU.
+and uniform Chung-Lu graphs. Of the default power-law Chung-Lu draw only the
+edge list is pinned, not its sidecar: a sidecar prints ``S`` in full, and
+numpy may compute a power-law draw's ``**`` with a different SIMD routine on
+another CPU.
 """
 
 import hashlib
@@ -27,6 +28,8 @@ from epithresh.harness import (
 )
 from epithresh.walker import CurvePoint
 
+from conftest import sampler_warning
+
 CLI_DIGESTS = {
     "pa.txt": "a89ee08fee376914a990e45b19256d9b5c23ae55679bf4d1a5a78ef15c2af7cf",
     "pa.txt.json": "b99da9538085ad2fbf5ebbb81de92b30a87a7ee193d10185875dd461cb829e2a",
@@ -36,6 +39,10 @@ CLI_DIGESTS = {
     "sir.csv": "021a92875e703239d9cdc636cc418b2463077e8b884557c668d0ae658b4d59be",
     "t1.json": "18470fbb83f7536c42c4f220bbbc95f7c1020161e455c979618f6f87c265dafa",
 }
+
+# generate --model chung-lu --n 3000 --seed 2: 5 clamped degrees, 10 pairs
+# drawn with p = 1
+POWER_LAW_EDGES_DIGEST = "697027b1b7e65bd17d2b3c82d84587f459c6771104d5acfbcaf203ccb1bbc3d5"
 
 WRITER_DIGESTS = {
     "records.csv": "740f00e1a87c388bb966b934e99e938cc2c26762cb85c96e6e5e34ee1d3a0249",
@@ -65,6 +72,15 @@ def test_cli_outputs_without_an_eigen_solve(tmp_path, capsys):
         assert main(list(argv)) == 0, argv
     capsys.readouterr()
     assert digests(tmp_path, CLI_DIGESTS) == CLI_DIGESTS
+
+
+def test_power_law_edge_list(tmp_path, capsys):
+    out = tmp_path / "cl.txt"
+    with sampler_warning("chung-lu", {}):
+        assert main(["generate", "--model", "chung-lu", "--n", "3000", "--seed", "2",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == POWER_LAW_EDGES_DIGEST
 
 
 def test_experiment_csv_writers(tmp_path):
