@@ -303,6 +303,7 @@ def _cmd_experiment(args) -> int:
             "component_n": result.component_n,
             "component_t1": result.component_t1,
             "component_lambda": result.component_lambda,
+            "clamped_pairs": result.clamped_pairs,
             "curve": [asdict(row) for row in result.curve],
         },
         None,

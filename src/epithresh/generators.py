@@ -5,23 +5,22 @@ The Chung-Lu sampler draws each pair i < j independently with probability
 min(1, delta_i delta_j / S). It sorts the weights and skips geometrically
 between candidate pairs (Miller & Hagberg, WAW 2011), so its expected
 runtime is O(n + m) and 50k-node instances finish in seconds. It records
-only the column of each kept pair and writes the pairs' directed keys
-straight into the buffer that becomes the CSR, about 24 bytes per edge at
-its peak. Identical (parameters, seed) always reproduce identical edge
-lists.
+only the column of each kept pair, in the buffer that ``graph`` turns into
+the CSR, about 24 bytes per edge at its peak. It only draws: a pair of
+probability above 1 is kept silently, and ``count_clamped_pairs`` counts
+them. Identical (parameters, seed) always reproduce identical edge lists.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import warnings
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _MAX_NODES, Graph, _keys_to_csr, build_graph
+from .graph import _MAX_NODES, Graph, _keys_to_csr, _write_keys, build_graph
 
 __all__ = [
     "ExpectedDegrees",
@@ -69,21 +68,24 @@ class ExpectedDegrees:
 
 
 def expected_degrees(delta: np.ndarray, clamped: int = 0) -> ExpectedDegrees:
-    """Validate and annotate an expected-degree vector."""
+    """Validate and annotate a vector of finite positive expected degrees."""
     arr = np.ascontiguousarray(delta, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected degrees must be a nonempty 1-d vector")
-    if not np.all(arr > 0.0):
-        raise ValueError("expected degrees must be strictly positive")
+    if not np.all((arr > 0.0) & (arr < np.inf)):
+        raise ValueError("expected degrees must be finite and strictly positive")
     arr.setflags(write=False)
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):  # an overflowed moment is refused below
+        total, mu2 = float(arr.sum()), float((arr * arr).sum())
+    if not math.isfinite(total + mu2):
+        raise ValueError("expected degrees are too large: their moments overflow float64")
     d_max = float(arr.max())
     return ExpectedDegrees(
         delta=arr,
         delta_max=d_max,
         delta_min=float(arr.min()),
         mu1=total,
-        mu2=float((arr * arr).sum()),
+        mu2=mu2,
         feasible=d_max * d_max <= total,
         clamped=clamped,
     )
@@ -144,21 +146,6 @@ def count_clamped_pairs(ed: ExpectedDegrees) -> int:
     return total
 
 
-def _warn_if_infeasible(ed: ExpectedDegrees, where: str) -> None:
-    if not ed.feasible:
-        clamped = count_clamped_pairs(ed)
-        detail = (
-            f"{clamped} pair probabilities clamped to 1"
-            if clamped
-            else "no realized pair exceeds 1"
-        )
-        warnings.warn(
-            f"{where}: delta_max^2 = {ed.delta_max**2:.6g} exceeds S = {ed.mu1:.6g}; {detail}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def chung_lu_sample_fast(ed: ExpectedDegrees, seed: int) -> Graph:
     """Edge-skipping sampler: each pair i < j independently with probability
     min(1, delta_i delta_j / S), in expected O(n + m) time.
@@ -169,16 +156,15 @@ def chung_lu_sample_fast(ed: ExpectedDegrees, seed: int) -> Graph:
     pair outcomes.
 
     Each kept pair costs one int64 in the record: its column in the sorted
-    order, with the number of pairs kept so far stored after each row. Both
-    directed keys of every pair are then written in place into one buffer
-    that ``graph._keys_to_csr`` sorts into the CSR, so the draw peaks at
-    about 24 bytes per edge plus a few dozen per node. Raises ValueError for
-    n above the graph's supported maximum.
+    order, with the number of pairs kept so far stored after each row. The
+    columns' node ids fill half of one buffer, in which ``graph._write_keys``
+    writes both directed keys of every pair for ``graph._keys_to_csr`` to
+    sort, so the draw peaks at about 24 bytes per edge plus a few dozen per
+    node. Raises ValueError for n above the graph's supported maximum.
     """
     n = ed.n
     if n > _MAX_NODES:
         raise ValueError(f"node count {n} exceeds the supported maximum {_MAX_NODES}")
-    _warn_if_infeasible(ed, "chung_lu_sample_fast")
     order = np.argsort(-ed.delta, kind="stable")
     w = ed.delta[order].tolist()
     S = ed.mu1
@@ -210,15 +196,11 @@ def chung_lu_sample_fast(ed: ExpectedDegrees, seed: int) -> Graph:
     del w  # the peak comes next, with every pair both in kept and in keys
     k = len(kept)
     keys = np.empty(2 * k, dtype=np.int64)
-    u, v = keys[:k], keys[k:]  # each pair's key from its row's node, and back
     # every j is below n, so "clip" never clips; "raise" would buffer out
-    np.take(order, np.frombuffer(kept, dtype=np.int64), out=v, mode="clip")
+    np.take(order, np.frombuffer(kept, dtype=np.int64), out=keys[k:], mode="clip")
     del kept, keep
     rows = np.repeat(order[: n - 1], np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0))
-    np.multiply(rows, _MAX_NODES, out=u)
-    u += v
-    v *= _MAX_NODES
-    v += rows
+    _write_keys(keys, rows)
     del rows
     return _keys_to_csr(keys, n)
 

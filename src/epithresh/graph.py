@@ -160,18 +160,28 @@ def _csr(n: int, degrees: np.ndarray, neighbors: np.ndarray) -> Graph:
     )
 
 
+def _write_keys(keys: np.ndarray, first: np.ndarray) -> None:
+    """Write the int64 keys ``src*_MAX_NODES + dst`` of k pairs, first to
+    second and back, in place into the 2k buffer ``keys``, whose upper half
+    holds the second ids; ``first`` holds the first ids. Ids lie below
+    _MAX_NODES, and the keys sort in (src, dst) order."""
+    k = keys.size // 2
+    np.multiply(first, _MAX_NODES, out=keys[:k])
+    keys[:k] += keys[k:]
+    keys[k:] *= _MAX_NODES
+    keys[k:] += first
+
+
 def _directed_keys(pairs: np.ndarray) -> np.ndarray:
-    """Fresh int64 keys ``src*_MAX_NODES + dst`` of both directions of each
-    (k, 2) pair with ids below _MAX_NODES, self-loops dropped; ``pairs`` is
-    only read. The keys sort in (src, dst) order."""
+    """Fresh keys (see _write_keys) of both directions of each (k, 2) pair,
+    self-loops dropped; ``pairs`` is only read."""
     kept = pairs[:, 0] != pairs[:, 1]
     k = int(np.count_nonzero(kept))
     if k < len(pairs):
         pairs = pairs[kept]
-    keys = np.concatenate((pairs[:, 0], pairs[:, 1]))
-    keys *= _MAX_NODES
-    keys[:k] += pairs[:, 1]
-    keys[k:] += pairs[:, 0]
+    keys = np.empty(2 * k, dtype=np.int64)
+    keys[k:] = pairs[:, 1]
+    _write_keys(keys, pairs[:, 0])
     return keys
 
 

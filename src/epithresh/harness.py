@@ -27,6 +27,7 @@ from .estimators import relative_error, t1_estimate
 from .generators import (
     ExpectedDegrees,
     chung_lu_sample_fast,
+    count_clamped_pairs,
     expected_degrees,
     power_law_expected_degrees,
     preferential_attachment,
@@ -138,6 +139,7 @@ class ExperimentResult:
     component_n: int
     component_t1: float
     component_lambda: float
+    clamped_pairs: int  # count_clamped_pairs of the model's degrees; 0 for "pa"
 
 
 def theta_product_expected_degrees(n: int, seed: int) -> ExpectedDegrees:
@@ -277,7 +279,7 @@ def run_synthetic_experiment(
         raise ValueError("budget fractions must lie in (0, 1]")
     master = np.random.default_rng(seed)
     seeds = tuple(int(master.integers(2**63 - 1)) for _ in range(walk_seeds))
-    graph, used_params, _ = model_graph(model, n, seed, params or {})
+    graph, used_params, ed = model_graph(model, n, seed, params or {})
     component, _ = _walked_component(graph, thin)
     config = ExperimentConfig(
         experiment="error-curve",
@@ -355,6 +357,7 @@ def run_synthetic_experiment(
         component_n=component.n,
         component_t1=comp_t1,
         component_lambda=comp_lambda,
+        clamped_pairs=0 if ed is None else count_clamped_pairs(ed),
     )
 
 

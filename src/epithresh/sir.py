@@ -185,6 +185,8 @@ def threshold_sweep(
     """
     if not ratios:
         raise ValueError("need at least one ratio")
+    if not all(0.0 <= r < np.inf for r in ratios):  # NaN fails both bounds
+        raise ValueError(f"ratios must be finite and nonnegative, got {ratios}")
     if reps < 1:
         raise ValueError("need at least one replication")
     if lam is None:

@@ -1,5 +1,4 @@
 import tracemalloc
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -52,15 +51,6 @@ def walk_path(walk, oracle, cfg):
         del oracle.neighbor
         if isinstance(oracle, LocalOracle):
             del oracle._walk_accessors
-
-
-def sampler_warning(model: str, params: dict):
-    """The warning a default draw of ``harness.model_graph`` raises: the
-    power-law Chung-Lu degrees exceed the feasibility bound, and the sampler
-    says so; the other models draw silently."""
-    if model == "chung-lu" and params.get("deg_dist", "powerlaw") == "powerlaw":
-        return pytest.warns(RuntimeWarning, match="exceeds S")
-    return nullcontext()
 
 
 def neighbors_of(g: Graph, v: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import random
 
 import numpy as np
 
-from epithresh.generators import ExpectedDegrees, _warn_if_infeasible
+from epithresh.generators import ExpectedDegrees
 from epithresh.graph import (
     EdgeListParseError,
     Graph,
@@ -440,7 +440,6 @@ def chung_lu_sample_naive(ed: ExpectedDegrees, seed: int) -> Graph:
             f"naive sampler is quadratic; n = {n} exceeds the "
             f"{NAIVE_SAMPLER_NODE_GUARD}-node guard"
         )
-    _warn_if_infeasible(ed, "chung_lu_sample_naive")
     rng = np.random.default_rng(seed)
     delta, S = ed.delta, ed.mu1
     # Row i holds the pairs (i, j > i). A block of whole rows draws its

@@ -24,7 +24,7 @@ from epithresh.sir import threshold_sweep
 from epithresh.spectral import spectral_gap, spectral_radius
 from epithresh.walker import _default_t_star
 
-from conftest import random_connected_graph, sampler_warning
+from conftest import random_connected_graph
 
 
 @pytest.fixture
@@ -86,13 +86,37 @@ class TestGenerate:
 
     def test_dmin(self, tmp_path):
         out = str(tmp_path / "cl.txt")
-        with sampler_warning("chung-lu", {"d_min": 2.0}):
-            assert run_cli(
-                "generate", "--model", "chung-lu", "--n", "300", "--seed", "3", "--dmin", "2",
-                "--out", out,
-            ) == 0
-            assert read_edge_list(out).identical(
-                model_graph("chung-lu", 300, 3, {"d_min": 2.0})[0])
+        assert run_cli(
+            "generate", "--model", "chung-lu", "--n", "300", "--seed", "3", "--dmin", "2",
+            "--out", out,
+        ) == 0
+        assert read_edge_list(out).identical(
+            model_graph("chung-lu", 300, 3, {"d_min": 2.0})[0])
+
+    def test_power_law_draw_counts_its_clamped_pairs_silently(self, tmp_path):
+        # the default power-law degrees at n = 3000 hold 10 pairs whose
+        # probability exceeds 1; the sidecar counts them, stderr stays empty
+        out = str(tmp_path / "pl.txt")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epithresh.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-m", "epithresh.cli", "generate", "--model", "chung-lu",
+             "--n", "3000", "--seed", "2", "--out", out],
+            capture_output=True, text=True, env=env,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        with open(out + ".json") as fh:
+            sidecar = json.load(fh)
+        assert (sidecar["feasible"], sidecar["clamped_pairs"]) == (False, 10)
+
+    def test_experiment_reports_the_sidecar_clamped_pairs(self, tmp_path, capsys):
+        model = ("--model", "chung-lu", "--n", "2000", "--seed", "3")
+        out = str(tmp_path / "g.txt")
+        assert run_cli("generate", *model, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("experiment", *model, "--walk-seeds", "1") == 0
+        reported = json.loads(capsys.readouterr().out)["clamped_pairs"]
+        with open(out + ".json") as fh:
+            assert reported == json.load(fh)["clamped_pairs"] == 5
 
 
 class TestExactAndEstimate:
@@ -243,10 +267,9 @@ class TestDisconnectedFile:
     @pytest.fixture
     def power_law_file(self, tmp_path):
         path = str(tmp_path / "pl.txt")
-        with sampler_warning("chung-lu", {}):
-            assert run_cli(
-                "generate", "--model", "chung-lu", "--n", "2000", "--seed", "7", "--out", path
-            ) == 0
+        assert run_cli(
+            "generate", "--model", "chung-lu", "--n", "2000", "--seed", "7", "--out", path
+        ) == 0
         return path
 
     def test_local_and_remote_walks_agree(self, power_law_file, capsys):
@@ -317,6 +340,12 @@ class TestSirCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "max_steps must be nonnegative" in captured.err
+
+    def test_sweep_refuses_a_nan_ratio(self, edge_file, capsys):
+        assert run_cli("sweep", "--in", edge_file, "--ratios", "nan,1", "--reps", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ratios must be finite and nonnegative, got [nan, 1.0]" in captured.err
 
     def test_sweep_csv(self, edge_file, capsys):
         assert run_cli(
@@ -415,11 +444,10 @@ DEFAULT_MODELS = [
 class TestLibraryDefaults:
     def test_generate_matches_model_graph(self, tmp_path, model, flags, params):
         out = str(tmp_path / "g.txt")
-        with sampler_warning(model, params):
-            assert run_cli(
-                "generate", "--model", model, "--n", "300", "--seed", "3", *flags, "--out", out
-            ) == 0
-            assert read_edge_list(out).identical(model_graph(model, 300, 3, params)[0])
+        assert run_cli(
+            "generate", "--model", model, "--n", "300", "--seed", "3", *flags, "--out", out
+        ) == 0
+        assert read_edge_list(out).identical(model_graph(model, 300, 3, params)[0])
 
     def test_experiment_matches_run_synthetic_experiment(
         self, tmp_path, capsys, model, flags, params
@@ -431,12 +459,11 @@ class TestLibraryDefaults:
         ]:
             out, ref = tmp_path / case / "cli", tmp_path / case / "lib"
             ref.mkdir(parents=True)
-            with sampler_warning(model, params):
-                assert run_cli(
-                    "experiment", "--model", model, "--n", "300", "--seed", "3", *flags,
-                    *walk_flags, "--out", str(out),
-                ) == 0
-                result = run_synthetic_experiment(model, 300, 3, params=params, **walk_kwargs)
+            assert run_cli(
+                "experiment", "--model", model, "--n", "300", "--seed", "3", *flags,
+                *walk_flags, "--out", str(out),
+            ) == 0
+            result = run_synthetic_experiment(model, 300, 3, params=params, **walk_kwargs)
             capsys.readouterr()
             write_records_csv(str(ref / "records.csv"), result.config, result.records)
             write_curve_csv(str(ref / "curve.csv"), result.config, result.curve,
@@ -445,8 +472,7 @@ class TestLibraryDefaults:
                 assert (out / name).read_bytes() == (ref / name).read_bytes()
 
     def test_exact_gap_matches_the_solvers(self, tmp_path, capsys, model, flags, params):
-        with sampler_warning(model, params):
-            g = model_graph(model, 300, 3, params)[0]
+        g = model_graph(model, 300, 3, params)[0]
         write_edge_list(g, str(tmp_path / "g.txt"))
         assert run_cli("exact", "--in", str(tmp_path / "g.txt"), "--gap") == 0
         got = json.loads(capsys.readouterr().out)
@@ -458,8 +484,7 @@ class TestLibraryDefaults:
             gap.lambda2, gap.gap, gap.iterations, gap.residual, gap.converged)
 
     def test_sweep_matches_threshold_sweep(self, tmp_path, capsys, model, flags, params):
-        with sampler_warning(model, params):
-            g = model_graph(model, 300, 3, params)[0]
+        g = model_graph(model, 300, 3, params)[0]
         write_edge_list(g, str(tmp_path / "g.txt"))
         assert run_cli(
             "sweep", "--in", str(tmp_path / "g.txt"), "--ratios", "0.5,2", "--reps", "3",

@@ -19,7 +19,7 @@ from epithresh.generators import (
 from epithresh.graph import build_graph
 
 import oracles
-from conftest import traced_peak
+from conftest import neighbors_of, traced_peak
 from oracles import (
     ccdf_slope,
     chung_lu_sample_naive,
@@ -102,6 +102,22 @@ class TestExpectedDegrees:
         with pytest.raises(ValueError, match="must be a nonempty 1-d vector"):
             expected_degrees(delta)
 
+    @pytest.mark.parametrize(
+        "delta, match",
+        [
+            ((np.inf, 2.0, 3.0), "must be finite"),
+            ((np.nan, 2.0), "must be finite"),
+            ((1e308, 1e308, 2.0), "moments overflow"),
+        ],
+        ids=["inf", "nan", "overflowing-moments"],
+    )
+    def test_non_finite_refused(self, delta, match):
+        # an infinite mu1 would pass as feasible and sample an edgeless graph
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                ed_of(*delta)
+
     def test_clamped_pair_count(self):
         # S = 12; products: 5*4=20>12, 5*2=10, 5*1=5, 4*2=8, ... one clamped pair
         assert count_clamped_pairs(ed_of(5, 4, 2, 1)) == 1
@@ -133,11 +149,16 @@ class TestChungLuNaive:
         with pytest.raises(ValueError, match="guard"):
             chung_lu_sample_naive(ed, 0)
 
-    def test_infeasible_warns(self):
-        with pytest.warns(RuntimeWarning, match="exceeds S"):
-            chung_lu_sample_naive(ed_of(3, 1), seed=0)
-        with pytest.warns(RuntimeWarning, match="1 pair probabilities clamped"):
-            chung_lu_sample_fast(ed_of(5, 4, 2, 1), seed=0)
+    @pytest.mark.parametrize("sampler", [chung_lu_sample_naive, chung_lu_sample_fast])
+    def test_clamped_pairs_are_counted_not_warned(self, sampler):
+        # 5 * 4 > S = 12: one pair is drawn with probability 1, silently
+        ed = ed_of(5, 4, 2, 1)
+        assert not ed.feasible
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = sampler(ed, seed=0)
+        assert count_clamped_pairs(ed) == 1
+        assert 1 in neighbors_of(g, 0)
 
     @given(
         delta=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=60),
@@ -148,8 +169,7 @@ class TestChungLuNaive:
     def test_blocks_draw_like_one_call_per_row(self, delta, seed, block):
         # blocks from one pair up to several rows, and one block for all rows
         ed = expected_degrees(np.asarray(delta))
-        with mock.patch.object(oracles, "_NAIVE_BLOCK_PAIRS", block), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # infeasible draws warn
+        with mock.patch.object(oracles, "_NAIVE_BLOCK_PAIRS", block):
             assert chung_lu_sample_naive(ed, seed).identical(per_row_chung_lu_sample(ed, seed))
 
     def test_default_blocks_draw_like_one_call_per_row(self):
@@ -207,10 +227,9 @@ class TestChungLuFast:
         reps = 8000
         n = ed.n
         counts = np.zeros((n, n))
-        with pytest.warns(RuntimeWarning):
-            for seed in range(reps):
-                pairs = chung_lu_sample_fast(ed, seed).edge_pairs()
-                counts[pairs[:, 0], pairs[:, 1]] += 1
+        for seed in range(reps):
+            pairs = chung_lu_sample_fast(ed, seed).edge_pairs()
+            counts[pairs[:, 0], pairs[:, 1]] += 1
         iu = np.triu_indices(n, k=1)
         exact = np.minimum(1.0, np.outer(delta, delta) / ed.mu1)[iu]
         freq = counts[iu] / reps
@@ -238,9 +257,7 @@ class TestChungLuFast:
         # a kept pair is held as its column (8 bytes) and its two directed
         # keys (16); each node costs its sort position, its row end and the
         # weights the row loop reads
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the power-law draw warns
-            g, peak = traced_peak(lambda: chung_lu_sample_fast(ed, seed=4))
+        g, peak = traced_peak(lambda: chung_lu_sample_fast(ed, seed=4))
         assert peak <= 24 * g.m + 64 * ed.n
 
     def test_refuses_more_nodes_than_a_key_holds(self):

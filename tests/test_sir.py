@@ -154,6 +154,16 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep(g, [1.0], reps=0, seed=0)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -0.5])
+    def test_bad_ratio_refused_before_any_solve(self, monkeypatch, ratio):
+        # min(1, nan * mu / lam) is 1.0, so a NaN ratio would sweep at beta = 1
+        def unreachable(g, *args, **kwargs):
+            raise AssertionError("spectral_radius called before the ratio check")
+
+        monkeypatch.setattr(sir, "spectral_radius", unreachable)
+        with pytest.raises(ValueError, match="ratios must be finite and nonnegative"):
+            threshold_sweep(path_graph(3), [1.0, ratio], reps=3, seed=0)
+
     def test_worker_count_does_not_change_results(self, monkeypatch):
         g = random_connected_graph(150, seed=4, extra_edges=120)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
