@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -65,8 +66,21 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json_value(value):
+    """``value`` with every non-finite float, at any depth, made None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return value
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    """The one JSON writer: a non-finite float is written as null."""
+    text = json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write(text + "\n", out)
 
 
 def _parse_addr(text: str) -> tuple[str, int]:

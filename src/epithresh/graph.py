@@ -32,8 +32,12 @@ __all__ = [
 # sum stays far below 2**63 even at n = 1e7, d_max = 1e7.
 _SUM_CHUNK = 10_000
 
-# read_edge_list reads the file in binary chunks of this many bytes.
-_READ_CHUNK = 1 << 20
+# read_edge_list reads the file in binary chunks of this many bytes; one
+# chunk's parse holds about 20 bytes of numpy temporaries per byte of text.
+_READ_CHUNK = 1 << 16
+# read_edge_list refuses a line of more than this many bytes (its line end
+# not counted), so it never holds more than that plus one chunk of text.
+_MAX_LINE = 1 << 20
 # The most nodes a graph can have, and the base of the int64 directed keys
 # src*_MAX_NODES + dst: ids below it keep every key below 2**63.
 _MAX_NODES = math.isqrt(2**63 - 1)
@@ -371,7 +375,7 @@ def _parse_line(path: str, line_no: int, line: str) -> tuple[tuple[int, int] | N
     return (u, v), 0
 
 
-def _parse_chunk(path: str, buf: bytes, line_base: int) -> tuple[np.ndarray, int, int]:
+def _parse_chunk(path: str, buf: bytes, line_base: int) -> tuple[np.ndarray, int]:
     """Parse whole lines ``buf`` (ending in a newline, no carriage returns)
     that start at line ``line_base + 1``.
 
@@ -379,8 +383,7 @@ def _parse_chunk(path: str, buf: bytes, line_base: int) -> tuple[np.ndarray, int
     _FAST_DIGITS digits, are parsed in one numpy call; every other line, and
     every such line with an id of _MAX_NODES or more, goes to _parse_line in
     file order, so the first error is raised with its exact line number.
-    Returns the (k, 2) edge pairs, the declared node count and the number of
-    lines consumed.
+    Returns the (k, 2) edge pairs and the declared node count.
     """
     a = np.frombuffer(buf, dtype=np.uint8)
     ends = np.flatnonzero(a == _NEWLINE)
@@ -425,12 +428,18 @@ def _parse_chunk(path: str, buf: bytes, line_base: int) -> tuple[np.ndarray, int
     pairs = values.reshape(-1, 2)
     if edges:
         pairs = np.concatenate((pairs, np.asarray(edges, dtype=np.int64)))
-    return pairs, declared_n, int(ends.size)
+    return pairs, declared_n
 
 
-def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """Whole lines of a binary file, _READ_CHUNK bytes at a time, with every
-    line end ("\n", "\r\n" or "\r") turned into "\n" and a final one added."""
+def _line_blocks(path: str, fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
+    """Whole lines of a binary file, at most _READ_CHUNK bytes at a time,
+    with every line end ("\n", "\r\n" or "\r") turned into "\n" and a final
+    one added; each block comes with the number of lines before it.
+
+    A read stops one byte past _MAX_LINE bytes of a line not yet ended, so
+    a longer line raises EdgeListParseError with its line number once that
+    byte is read, after the lines before it were yielded for parsing.
+    """
 
     def unix(raw: bytes) -> bytes:
         if b"\r" in raw:
@@ -438,35 +447,42 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
         return raw if raw.endswith(b"\n") else raw + b"\n"
 
     carry = b""
-    while block := fh.read(_READ_CHUNK):
+    line_base = 0
+    pending = 0  # bytes of the line that carry holds and has not ended
+    while block := fh.read(min(_READ_CHUNK, _MAX_LINE + 1 - pending)):
         data = carry + block
         # cut after the last line end; a trailing "\r" may be half of "\r\n"
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
         carry = data[cut:]
         if cut:
-            yield unix(data[:cut])
+            buf = unix(data[:cut])
+            yield line_base, buf
+            line_base += buf.count(b"\n")
+        pending = 0 if carry.endswith(b"\r") else len(carry)
+        if pending > _MAX_LINE:
+            raise EdgeListParseError(path, line_base + 1, f"line exceeds {_MAX_LINE} bytes")
     if carry:
-        yield unix(carry)
+        yield line_base, unix(carry)
 
 
 def _read_keys(path: str) -> tuple[np.ndarray, int]:
     """The directed keys of an edge-list file's edges, and its node count.
 
     Each chunk's pairs become that chunk's keys as soon as it is parsed, and
-    those are appended to one buffer, so the pairs are never joined. The
-    buffer grows by a quarter when full and is cut to size at the end, by
-    ``ndarray.resize`` (realloc, which remaps a large block's pages rather
-    than copying them); no view of it outlives a statement, so the resize
-    skips numpy's reference check.
+    those are appended to one buffer, so the pairs are never joined and the
+    read holds one chunk's parse on top of the keys. The buffer grows by a
+    quarter when full and is cut to size at the end, by ``ndarray.resize``
+    (realloc, which remaps a large block's pages rather than copying them);
+    no view of it outlives a statement, so the resize skips numpy's
+    reference check.
     """
     keys = np.empty(0, dtype=np.int64)
     end = 0
     declared_n = 0
     max_id = -1
-    line_base = 0
     with open(path, "rb") as fh:
-        for buf in _line_blocks(fh):
-            pairs, declared, lines = _parse_chunk(path, buf, line_base)
+        for line_base, buf in _line_blocks(path, fh):
+            pairs, declared = _parse_chunk(path, buf, line_base)
             if pairs.size:
                 max_id = max(max_id, int(pairs.max()))
             part = _directed_keys(pairs)
@@ -477,7 +493,6 @@ def _read_keys(path: str) -> tuple[np.ndarray, int]:
             end += part.size
             del part
             declared_n = max(declared_n, declared)
-            line_base += lines
     keys.resize(end, refcheck=False)
     return keys, max(declared_n, max_id + 1)
 
@@ -490,18 +505,19 @@ def read_edge_list(path: str) -> Graph:
     with trailing isolated nodes round-trip. Blank lines are skipped, and
     "\n", "\r\n" and "\r" all end a line. The file is UTF-8.
 
-    The file is read in 1 MiB binary chunks (_READ_CHUNK), each cut after
+    The file is read in 64 KiB binary chunks (_READ_CHUNK), each cut after
     its last line end; plain "u v" lines are parsed in bulk. Each chunk's
     int64 pairs become its two directed keys ``src*_MAX_NODES + dst`` per
     edge at once (the base is fixed, since n is known only at the end), and
     are appended to one growing buffer that the build sorts, dedupes and
     turns into neighbours in place. So the read peaks near 20 bytes per
-    edge (the keys and the buffer's slack) plus one chunk's parse (or the
-    longest line's). Any other line is parsed on its own, so
-    EdgeListParseError carries the exact line number of the first bad line.
-    An id of _MAX_NODES or more, or a "# n=" count above it, is such an
-    error: no graph that large can be built, so the file is refused before
-    any graph array is allocated.
+    edge (the keys and the buffer's slack) plus one chunk's parse, about
+    1.3 MB. Any other line is parsed on its own, so EdgeListParseError
+    carries the exact line number of the first bad line. A line of more
+    than _MAX_LINE (1 MiB) bytes is such an error, raised once that many
+    bytes of it are read, so no line is held whole. So is an id of
+    _MAX_NODES or more, or a "# n=" count above it: no graph that large can
+    be built, so the file is refused before any graph array is allocated.
     """
     return _keys_to_csr(*_read_keys(path))
 

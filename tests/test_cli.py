@@ -385,6 +385,20 @@ class TestHarnessCommands:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_experiment_stdout_is_strict_json(self, capsys):
+        # no walk seed has a sample at budgets 16 and 31, so their means are
+        # missing: JSON null, not the non-standard NaN token
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        assert run_cli("experiment", "--model", "chung-lu", "--n", "2000", "--seed", "3",
+                       "--walk-seeds", "3") == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        empty = [row for row in payload["curve"] if row["seeds_used"] == 0]
+        assert [row["budget"] for row in empty] == [16, 31]
+        for row in empty:
+            assert row["mean_eps_t1"] is None and row["mean_eps_lambda"] is None
+
 
 def blank_columns(path) -> set[frozenset[str]]:
     """The set of blank-column sets over the data rows of a CSV file: one

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -506,9 +508,9 @@ class TestChunkedReader:
     @pytest.mark.parametrize("chunk", [1 << 16, None], ids=["64KiB", "default"])
     def test_peak_memory_per_edge(self, tmp_path, monkeypatch, chunk):
         # ~400k distinct edges in a file of over 4 MB, read in 64 KiB chunks
-        # and in the default ones; the reader holds one growing buffer of
-        # directed keys and one chunk's keys and parse, never the joined
-        # pairs (one default chunk's parse sets that case's peak)
+        # and in the default ones (64 KiB too, held on their own should the
+        # default change); the reader holds one growing buffer of directed
+        # keys and one chunk's keys and parse, never the joined pairs
         g = _dense_random_graph()
         path = str(tmp_path / "g.txt")
         write_edge_list(g, path)
@@ -517,7 +519,7 @@ class TestChunkedReader:
             monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
         got, peak = traced_peak(lambda: read_edge_list(path))
         assert got.identical(g)
-        assert peak / g.m <= (64 if chunk is None else 40)
+        assert peak / g.m <= 24
 
     def test_many_chunks_error_line_is_exact(self, tmp_path):
         lines = ["# n=1000"] + [f"{i} {i + 1}" for i in range(999)]
@@ -543,6 +545,100 @@ class TestChunkedReader:
             with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
                 with pytest.raises(UnicodeDecodeError):
                     read_edge_list(str(f))
+
+    def test_resident_peak_is_the_graph_plus_a_constant(self, tmp_path):
+        # a fresh interpreter reads the 400k-edge file; its resident high-water
+        # mark may pass the resident size it had before the read by the
+        # graph's arrays and 8 MiB, whatever the parse's allocations leave
+        try:
+            with open("/proc/self/status") as fh:
+                has_hwm = "VmHWM:" in fh.read()
+        except OSError:
+            has_hwm = False
+        if not has_hwm:
+            pytest.skip("no VmHWM in /proc/self/status")
+        path = str(tmp_path / "g.txt")
+        write_edge_list(_dense_random_graph(), path)
+        script = (
+            "import sys\n"
+            "from epithresh.graph import read_edge_list\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith(key))\n"
+            "before = status('VmRSS:')\n"
+            "g = read_edge_list(sys.argv[1])\n"
+            "print(status('VmHWM:') - before,"
+            " g.offsets.nbytes + g.neighbors.nbytes + g.degrees.nbytes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graph_module.__file__)))
+        result = subprocess.run([sys.executable, "-c", script, path], env=env,
+                                capture_output=True, text=True, check=True)
+        grown, graph_bytes = map(int, result.stdout.split())
+        assert grown <= graph_bytes + 8 * 2**20
+
+
+class TestLineCap:
+    """read_edge_list refuses a line of more than _MAX_LINE bytes."""
+
+    # the default chunk, and one above the cap, where the cap bounds each read
+    chunks = pytest.mark.parametrize(
+        "chunk", [graph_module._READ_CHUNK, graph_module._MAX_LINE + 99],
+        ids=["default", "over-cap"])
+    ends = pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+
+    @staticmethod
+    def _write(tmp_path, lines, end):
+        path = tmp_path / "g.txt"
+        path.write_bytes(end.join(lines).encode("ascii") + end.encode("ascii"))
+        return str(path)
+
+    @staticmethod
+    def _read(path, chunk):
+        with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+            return read_edge_list(path)
+
+    @chunks
+    @ends
+    def test_line_at_the_cap_reads_like_the_oracle(self, tmp_path, chunk, end):
+        comment = "#" + "c" * (graph_module._MAX_LINE - 1)
+        path = self._write(tmp_path, ["# n=4", "0 1", comment, "1 2"], end)
+        assert self._read(path, chunk).identical(build_graph(*read_edge_list_lines(path)))
+
+    @chunks
+    @ends
+    def test_one_byte_more_is_refused_with_its_line(self, tmp_path, chunk, end):
+        comment = "#" + "c" * graph_module._MAX_LINE
+        path = self._write(tmp_path, ["# n=4", "0 1", comment, "1 2"], end)
+        with pytest.raises(EdgeListParseError, match="line exceeds 1048576 bytes") as got:
+            self._read(path, chunk)
+        assert got.value.line_no == 3
+
+    @chunks
+    def test_the_first_bad_line_is_raised(self, tmp_path, chunk):
+        long_line = "0" * (graph_module._MAX_LINE + 1)
+        for lines, line_no, message in [
+            (["0 1", "0 x", long_line, "1 2"], 2, "non-integer"),
+            (["0 1", long_line, "0 x", "1 2"], 2, "line exceeds"),
+        ]:
+            path = self._write(tmp_path, lines, "\n")
+            with pytest.raises(EdgeListParseError, match=message) as got:
+                self._read(path, chunk)
+            assert got.value.line_no == line_no
+
+    def test_refusal_holds_no_more_than_the_cap(self, tmp_path):
+        # a line four times the cap: the reader stops one byte past the cap,
+        # holding at most about two caps of text (three are allowed)
+        bound = 3 * graph_module._MAX_LINE
+        path = self._write(tmp_path, ["0 1", "#" * (4 * graph_module._MAX_LINE)], "\n")
+
+        def refused():
+            with pytest.raises(EdgeListParseError) as got:
+                read_edge_list(path)
+            return got.value.line_no
+
+        line_no, peak = traced_peak(refused)
+        assert line_no == 2
+        assert peak <= bound
 
 
 @st.composite
