@@ -41,7 +41,7 @@ from .harness import (
     write_records_csv,
 )
 from .service import OracleServer, RemoteOracle
-from .sir import UPDATE_RULE, SirParams, SweepRow, sir_simulate, threshold_sweep
+from .sir import SWEEP_FINAL, UPDATE_RULE, SirParams, SweepRow, sir_simulate, threshold_sweep
 from .spectral import spectral_gap, spectral_radius
 from .walker import (DEFAULT_THIN, LocalOracle, WalkConfig, _default_t_star, _walked_component,
                      random_walk_estimate)
@@ -280,7 +280,8 @@ def _cmd_sweep(args) -> int:
     g = read_edge_list(args.infile)
     ratios = [float(x) for x in args.ratios.split(",")]
     rows = threshold_sweep(g, ratios, reps=args.reps, seed=args.seed, **_given(args, ("mu",)))
-    comment = f"# sweep mu={rows[0].mu} reps={args.reps} seed={args.seed} {UPDATE_RULE}"
+    comment = (f"# sweep mu={rows[0].mu} reps={args.reps} seed={args.seed} {UPDATE_RULE} "
+               f"{SWEEP_FINAL}")
     _write(_csv_text([comment], SweepRow.__dataclass_fields__, map(astuple, rows)), args.out)
     return 0
 

@@ -118,13 +118,14 @@ class BenchmarkSummary:
 
 @dataclass(frozen=True)
 class CurveSummary:
-    """Across-seed means at one distinct-nodes budget."""
+    """Across-seed means at one distinct-nodes budget. A mean over no
+    samples (``seeds_used`` 0) is None: an empty cell, and JSON null."""
 
     budget: int
     budget_fraction: float
     mean_nodes_seen: float
-    mean_eps_t1: float
-    mean_eps_lambda: float
+    mean_eps_t1: float | None
+    mean_eps_lambda: float | None
     seeds_used: int
 
 
@@ -361,9 +362,9 @@ def run_synthetic_experiment(
     )
 
 
-def _mean(values: list) -> float:
-    """The mean of ``values``, NaN when there are none."""
-    return float(np.mean(values)) if values else float("nan")
+def _mean(values: list) -> float | None:
+    """The mean of ``values``, None (a missing value) when there are none."""
+    return float(np.mean(values)) if values else None
 
 
 def _csv_text(comments: list[str], header: Iterable[str], rows: Iterable[Iterable]) -> str:

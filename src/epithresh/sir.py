@@ -15,21 +15,44 @@ infected node's edges each step (the infection-pressure bookkeeping of
 event-driven simulators; Kiss, Miller & Simon, *Mathematics of Epidemics
 on Networks*, Springer 2017). The compartment sizes are carried the same
 way. A run costs O(n) per step plus the degrees of the nodes that change.
+
+The threshold sweep reads only final sizes, and draws them without
+simulating the steps. A node infected at step t first transmits at step
+t + 1, and may recover in that same step; so it transmits in tau >= 1
+steps, with tau ~ Geometric(mu) (P(tau = k) = (1 - mu)^(k-1) mu), and in
+each of them it tries each susceptible neighbour with probability beta.
+Call the directed edge u -> v open when one of u's tau tries at v would
+succeed, with probability 1 - (1 - beta)^tau_u; all of u's out-edges share
+u's tau. A node is ever infected exactly when an open path leads to it
+from the start: which open edge into it fires first changes when it is
+infected, not whether. So the set ever infected is, in law, the start's
+out-component in this epidemic percolation network (Kenah & Robins,
+*Second look at the spread of epidemics on networks*, Phys. Rev. E 76,
+036113, 2007). An edge's marginal is Newman's transmissibility
+T = beta / (beta + mu - beta mu) (Phys. Rev. E 66, 016128, 2002). Shared
+tau correlates a node's out-edges, so this is not bond percolation at T.
+A sweep run is one breadth-first search of that network: each frontier
+node draws its tau once and each of its edges one uniform. The search
+ends by itself once a level reaches no new node, so :func:`sir_simulate`'s
+step cap of 10n has no counterpart.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _frontier_neighbors
+from .graph import Graph, _frontier_neighbors, _sorted_unique
 from .spectral import _certified, spectral_radius
 
 # The update rule of the module docstring, as the CLI's CSV comment lines name it.
 UPDATE_RULE = "update=synchronous-snapshot contact=1-(1-beta)^k"
+# How the sweep draws its final sizes, as its CSV comment line names it.
+SWEEP_FINAL = "final=percolation-bfs"
+# Neighbour entries one percolation-BFS slice gathers at once; a node of
+# higher degree is a slice of its own.
+_BFS_SLICE = 1 << 16
 
 __all__ = [
     "SirParams",
@@ -37,17 +60,7 @@ __all__ = [
     "SweepRow",
     "sir_simulate",
     "threshold_sweep",
-    "worker_count",
 ]
-
-
-def worker_count(reps: int) -> int:
-    """Replication workers for the SIR sweep: one per CPU this process may
-    run on, and no more than there are replications."""
-    try:
-        return min(reps, len(os.sched_getaffinity(0)))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return min(reps, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -153,6 +166,48 @@ def sir_simulate(g: Graph, p: SirParams) -> SirTrajectory:
     )
 
 
+def _percolation_final_size(
+    g: Graph, beta: float, mu: float, start: int, rng: np.random.Generator
+) -> int:
+    """The size of ``start``'s out-component in one draw of the epidemic
+    percolation network (module docstring): in law, the final size of a
+    :func:`sir_simulate` run from ``start`` alone.
+
+    A level-synchronous BFS, the frontier cut into slices of at most
+    _BFS_SLICE neighbour entries. Each slice draws its nodes' tau in
+    frontier order, then one uniform per neighbour entry; the newly reached
+    nodes of a slice are marked before the next slice filters. At beta 1
+    every edge is open and at beta 0 none, and neither draws.
+    """
+    if beta == 0.0:
+        return 1
+    log_miss = np.log1p(-beta) if beta < 1.0 else None
+    reached = np.zeros(g.n, dtype=bool)
+    reached[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    size = 1
+    while frontier.size:
+        ends = np.cumsum(g.degrees[frontier])
+        level = []
+        i = 0
+        while i < frontier.size:
+            base = int(ends[i - 1]) if i else 0
+            j = max(i + 1, int(np.searchsorted(ends, base + _BFS_SLICE, "right")))
+            nodes = frontier[i:j]
+            nbrs = _frontier_neighbors(g, nodes)
+            if log_miss is not None:
+                # 1 - (1 - beta)^tau, without the cancellation of the plain form
+                p_open = -np.expm1(rng.geometric(mu, nodes.size) * log_miss)
+                nbrs = nbrs[rng.random(nbrs.size) < np.repeat(p_open, g.degrees[nodes])]
+            new = _sorted_unique(nbrs[~reached[nbrs]])
+            reached[new] = True
+            size += new.size
+            level.append(new)
+            i = j
+        frontier = np.concatenate(level)
+    return size
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """Mean outbreak size at one transmissibility multiple of the threshold."""
@@ -175,13 +230,11 @@ def threshold_sweep(
 ) -> list[SweepRow]:
     """Mean final-size fraction at beta/mu = ratio / lambda(A), per ratio.
 
-    Each replication infects one uniformly random initial node. The
-    replications of every ratio run as one job list on one thread pool, so
-    no worker waits for a ratio's slowest run. With one worker the jobs run
-    in the calling thread, reusing heap the caller has freed; a pool thread
-    would take its temporaries from a second malloc arena and grow the
-    process. ``lam`` short-circuits the spectral radius if the caller
-    already has it; a radius solved here that is not certified is refused.
+    Each replication infects one uniformly random initial node, and its
+    final size is one percolation BFS from it (module docstring), run in
+    the calling thread. ``lam`` short-circuits the spectral radius if the
+    caller already has it; a radius solved here that is not certified is
+    refused.
     """
     if not ratios:
         raise ValueError("need at least one ratio")
@@ -189,40 +242,34 @@ def threshold_sweep(
         raise ValueError(f"ratios must be finite and nonnegative, got {ratios}")
     if reps < 1:
         raise ValueError("need at least one replication")
+    if not 0.0 < mu <= 1.0:
+        raise ValueError(f"mu must lie in (0, 1], got {mu}")
     if lam is None:
         lam = _certified(spectral_radius(g))
     master = np.random.default_rng(seed)
     betas = [min(1.0, ratio * mu / lam) for ratio in ratios]
-    # Replication seeds are drawn up front, ratio-major, so results do not
-    # depend on how many workers execute them.
+    # Start nodes and replication seeds are drawn up front, ratio-major.
     jobs = [
         (beta, int(master.integers(g.n)), int(master.integers(2**63 - 1)))
         for beta in betas
         for _ in range(reps)
     ]
-
-    def one_rep(job: tuple[float, int, int]) -> float:
-        beta, start, rep_seed = job
-        traj = sir_simulate(
-            g, SirParams(beta=beta, mu=mu, initial_infected=(start,), seed=rep_seed)
-        )
-        return traj.final_fraction
-
-    workers = worker_count(len(jobs))
-    if workers == 1:
-        results = list(map(one_rep, jobs))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_rep, jobs))
-    fractions = np.array(results).reshape(len(ratios), reps)
+    sizes = np.array(
+        [
+            _percolation_final_size(g, beta, mu, start, np.random.default_rng(rep_seed))
+            for beta, start, rep_seed in jobs
+        ]
+    ).reshape(len(ratios), reps)
+    # integer sizes, divided once: a sweep where every run reaches the same
+    # number of nodes reports that fraction exactly, with sd 0
     return [
         SweepRow(
             ratio=float(ratio),
             beta=float(beta),
             mu=float(mu),
-            mean_final_fraction=float(row.mean()),
-            sd_final_fraction=float(row.std(ddof=1)) if reps > 1 else 0.0,
+            mean_final_fraction=float(row.mean() / g.n),
+            sd_final_fraction=float(row.std(ddof=1) / g.n) if reps > 1 else 0.0,
             reps=reps,
         )
-        for ratio, beta, row in zip(ratios, betas, fractions)
+        for ratio, beta, row in zip(ratios, betas, sizes)
     ]

@@ -399,6 +399,15 @@ class TestHarnessCommands:
         for row in empty:
             assert row["mean_eps_t1"] is None and row["mean_eps_lambda"] is None
 
+    def test_experiment_curve_writes_a_missing_mean_as_an_empty_cell(self, tmp_path, capsys):
+        # the same budgets 16 and 31 in curve.csv: empty cells, not nan
+        assert run_cli("experiment", "--model", "chung-lu", "--n", "2000", "--seed", "3",
+                       "--walk-seeds", "3", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "curve.csv").read_text().splitlines()
+        assert "16,0.01,16.0,,,0" in lines and "31,0.02,31.0,,,0" in lines
+        assert not any("nan" in line for line in lines)
+
 
 def blank_columns(path) -> set[frozenset[str]]:
     """The set of blank-column sets over the data rows of a CSV file: one

@@ -44,7 +44,7 @@ POWER_LAW_EDGES_DIGEST = "697027b1b7e65bd17d2b3c82d84587f459c6771104d5acfbcaf203
 
 WRITER_DIGESTS = {
     "records.csv": "740f00e1a87c388bb966b934e99e938cc2c26762cb85c96e6e5e34ee1d3a0249",
-    "curve.csv": "b78c48484a500131c7afaa0f5cd39738cccfbe6667fd337111f1c0cc20ede64c",
+    "curve.csv": "ae403bb213da372f8d876eb92d45c468ebe9595f7d469f6d9aaff81e5041e7b6",
     "curve.raw.csv": "46face8e22fd5ed749ac8ce0000f25c4f7a5e0300d97b9d735f2555143ac144f",
 }
 
@@ -101,7 +101,7 @@ def test_experiment_csv_writers(tmp_path):
     ]
     curve = [
         CurveSummary(budget=1, budget_fraction=0.1, mean_nodes_seen=1.0,
-                     mean_eps_t1=math.nan, mean_eps_lambda=math.nan, seeds_used=0),
+                     mean_eps_t1=None, mean_eps_lambda=None, seeds_used=0),
         CurveSummary(budget=10, budget_fraction=1.0, mean_nodes_seen=9.5,
                      mean_eps_t1=0.125, mean_eps_lambda=1 / 7, seeds_used=2),
     ]

@@ -1,14 +1,19 @@
 import os
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epithresh import sir
-from epithresh.generators import chung_lu_sample_fast, uniform_expected_degrees
+from epithresh.generators import (chung_lu_sample_fast, power_law_expected_degrees,
+                                  uniform_expected_degrees)
 from epithresh.graph import build_graph, largest_component
-from epithresh.sir import SirParams, sir_simulate, threshold_sweep, worker_count
+from epithresh.sir import SirParams, sir_simulate, threshold_sweep
 from epithresh.spectral import spectral_radius
 
 from conftest import path_graph, random_connected_graph
@@ -164,27 +169,101 @@ class TestThresholdSweep:
         with pytest.raises(ValueError, match="ratios must be finite and nonnegative"):
             threshold_sweep(path_graph(3), [1.0, ratio], reps=3, seed=0)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    def test_rows_do_not_depend_on_the_cpus_and_no_thread_starts(self, monkeypatch):
         g = random_connected_graph(150, seed=4, extra_edges=120)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert worker_count(8) == 3
-        threaded = threshold_sweep(g, [0.5, 2.0], reps=8, seed=5)
-        # one worker runs the jobs in the calling thread, with no pool
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert worker_count(8) == 1
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-worker sweep started a thread pool")
+        def no_thread(self):
+            raise AssertionError("the sweep started a thread")
 
-        monkeypatch.setattr(sir, "ThreadPoolExecutor", no_pool)
-        assert threshold_sweep(g, [0.5, 2.0], reps=8, seed=5) == threaded
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        rows = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            rows.append(threshold_sweep(g, [0.5, 2.0], reps=8, seed=5))
+        assert rows[0] == rows[1]
 
-    def test_worker_count_is_cpus_capped_by_reps(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        assert [worker_count(reps) for reps in (1, 3, 4, 50)] == [1, 3, 4, 4]
-        # without sched_getaffinity, the CPU count
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert worker_count(50) == 2
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert worker_count(50) == 1
+    def test_beta_at_its_ends_is_exact_and_warns_nothing(self):
+        # ratio 0 gives beta 0 (no edge opens); a ratio of lambda / mu or more
+        # clamps beta to 1 (every edge opens), where log(1 - beta) is -inf
+        g = random_connected_graph(100, seed=2, extra_edges=80)
+        lam = spectral_radius(g).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zero, full = threshold_sweep(g, [0.0, 2 * lam / 0.2], reps=5, seed=1, lam=lam)
+        assert (zero.beta, zero.mean_final_fraction, zero.sd_final_fraction) == (0.0, 1 / g.n, 0.0)
+        assert (full.beta, full.mean_final_fraction, full.sd_final_fraction) == (1.0, 1.0, 0.0)
+
+    def test_mu_outside_its_range_is_refused(self):
+        for mu in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="mu must lie in"):
+                threshold_sweep(path_graph(3), [1.0], reps=3, seed=0, mu=mu, lam=1.0)
+
+
+# Family-wise 1%, Bonferroni-corrected over the law gate's 2 graphs x 4 ratios.
+LAW_ALPHA = 0.01 / 8
+LAW_RUNS = 600
+LAW_MU = 0.2
+
+
+def _law_graph(kind: str):
+    if kind == "uniform":
+        ed, seed = uniform_expected_degrees(1000, 5.0, 15.0, seed=41), 42
+    else:
+        ed, seed = power_law_expected_degrees(1000, 2.5, 2.0, seed=43), 44
+    return largest_component(chung_lu_sample_fast(ed, seed))[0]
+
+
+def _final_sizes(g, beta: float, seed: list[int], percolation: bool) -> np.ndarray:
+    """LAW_RUNS final sizes from uniformly random single starts."""
+    rng = np.random.default_rng(seed)
+    sizes = []
+    for _ in range(LAW_RUNS):
+        start, rep_seed = int(rng.integers(g.n)), int(rng.integers(2**63 - 1))
+        if percolation:
+            sizes.append(sir._percolation_final_size(
+                g, beta, LAW_MU, start, np.random.default_rng(rep_seed)))
+        else:
+            params = SirParams(beta=beta, mu=LAW_MU, initial_infected=(start,), seed=rep_seed)
+            sizes.append(sir_simulate(g, params).final_size)
+    return np.array(sizes)
+
+
+class TestPercolationFinalSizes:
+    """The sweep's engine, one percolation BFS per run, against the step-by-step
+    simulation it replaces."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "power-law"])
+    def test_final_sizes_have_the_simulation_law(self, kind):
+        # two-sample KS per ratio, spanning 1 / lambda(A); the bound was fixed
+        # before the seeds were run
+        g = _law_graph(kind)
+        lam = spectral_radius(g).value
+        for k, ratio in enumerate((1.0, 1.2, 2.0, 4.0)):
+            beta = ratio * LAW_MU / lam
+            sim = _final_sizes(g, beta, [51, k, 0], percolation=False)
+            bfs = _final_sizes(g, beta, [51, k, 1], percolation=True)
+            test = sps.ks_2samp(sim, bfs)
+            assert test.pvalue > LAW_ALPHA, (kind, ratio, test.statistic, test.pvalue)
+
+    def test_a_run_holds_at_most_the_simulation_plus_one_slice(self):
+        # a supercritical run on a graph whose BFS levels exceed one slice
+        g = chung_lu_sample_fast(uniform_expected_degrees(20_000, 20.0, 80.0, seed=71), 72)
+        beta = 4.0 * LAW_MU / spectral_radius(g).value
+        start = int(np.argmax(g.degrees))
+
+        def traced(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        params = SirParams(beta=beta, mu=LAW_MU, initial_infected=(start,), seed=3)
+        sim_size, sim_peak = traced(lambda: sir_simulate(g, params).final_size)
+        bfs_size, bfs_peak = traced(lambda: sir._percolation_final_size(
+            g, beta, LAW_MU, start, np.random.default_rng(3)))
+        assert min(sim_size, bfs_size) > g.n // 4  # both took off
+        # a slice holds at most three 8-byte arrays and one mask at once
+        slice_bytes = (3 * 8 + 1) * sir._BFS_SLICE
+        assert bfs_peak <= sim_peak + slice_bytes, (bfs_peak, sim_peak)
