@@ -19,6 +19,15 @@ stops on the Ritz residual |beta_k s_k|, which bounds the distance from
 the reported value to an eigenvalue of the operator (Paige, 1980), so
 ``converged`` is a certificate rather than a stalled estimate. Bipartite
 +/- eigenvalue pairs do not slow it down.
+
+The residual is read from the Lanczos tridiagonal T_k, and only a check
+that can pass solves T_k densely (``eigvalsh``, O(k^3)). Past k = 32 a
+check first places the top Ritz value in O(k) per pass, by a Sturm count
+and Newton's method on the LDL^T pivots of ``x I - T_k`` (Parlett, *The
+Symmetric Eigenvalue Problem*, ch. 7), and estimates the residual there.
+The estimate agrees with the dense residual to rounding, and the dense
+solve alone decides and reports, so the screen changes which checks cost
+O(k^3), never a result.
 """
 
 from __future__ import annotations
@@ -51,6 +60,8 @@ DEFAULT_MAX_ITERS = 100_000
 
 _KRYLOV_CAP = 512  # longest Lanczos tridiagonal kept before a restart
 _BREAKDOWN = 1e-12  # beta_k at or below this times ||T_k|| is an invariant subspace
+_DENSE_CHECKS = 32  # checks up to this k solve T_k densely every step; later ones every 8
+_SCREEN_FACTOR = 2.0  # a later check solves T_k densely once its estimate is at most this * tol
 _EPS = float(np.finfo(np.float64).eps)
 
 _MATVEC_BLOCK = 1 << 18  # neighbour entries one matvec gathers at once (2 MiB of float64)
@@ -252,10 +263,13 @@ def _ritz_vector(alpha: list[float], beta: list[float], theta: float) -> list[fl
     """Unit eigenvector s of the Lanczos tridiagonal T_k for its eigenvalue ``theta``.
 
     Two steps of inverse iteration from the all-ones vector, each one O(k)
-    Thomas solve with ``theta I - T_k``. Since ``theta`` is the top eigenvalue
-    of T_k, every pivot but the last is positive (strict interlacing), so
-    the elimination needs no pivoting; the last pivot is ~0, which is what
-    makes the solve amplify s.
+    Thomas solve with ``theta I - T_k``. ``theta`` is the top eigenvalue of
+    T_k from a dense solve, or the point just above it that
+    :func:`_top_ritz_bound` finds for a screened check. Either way every
+    pivot but the last is positive (strict interlacing), so the elimination
+    needs no pivoting; the last pivot is ~0, which is what makes the solve
+    amplify s. The two thetas differ by a few rounding steps, far less than
+    the gap to the next Ritz value, so both give the same s to rounding.
     """
     floor = _EPS * max(1.0, abs(theta))  # stands in for an exactly zero pivot
     piv = theta - alpha[0] or floor
@@ -278,6 +292,56 @@ def _ritz_vector(alpha: list[float], beta: list[float], theta: float) -> list[fl
     return x
 
 
+def _top_ritz_bound(alpha: list[float], beta: list[float], lower: float, upper: float) -> float:
+    """A point at or just above the top eigenvalue of T_k, in O(k) passes.
+
+    Each pass factors ``x I - T_k = L D L^T`` by the same pivot recurrence as
+    :func:`_ritz_vector`: x lies above every eigenvalue exactly when no pivot
+    is negative (Sturm count 0), and the pivots' derivatives give Newton's
+    step ``p(x) / p'(x)`` on the characteristic polynomial p (Parlett, ch.
+    7). The search starts just above ``lower`` (the previous check's value;
+    by interlacing the top eigenvalue only grows with k) and widens
+    geometrically until the count is 0, stopping at ``upper`` (a Gershgorin
+    bound on ||T_k||). From above the top root Newton descends
+    monotonically, to within a few rounding steps of it.
+    """
+    b2 = [b * b for b in beta[: len(alpha) - 1]]
+
+    def newton_step(x: float) -> float | None:
+        """``p(x) / p'(x)``, or None unless x is above every eigenvalue."""
+        d = x - alpha[0]
+        if d <= 0.0:
+            return None
+        dd = 1.0  # derivative of the pivot d in x
+        slope = 1.0 / d  # p'(x) / p(x) = sum of dd / d over the pivots
+        for a, bb in zip(alpha[1:], b2):
+            r = bb / d
+            dd = 1.0 + r * dd / d
+            d = x - a - r
+            if d <= 0.0:
+                return None
+            slope += dd / d
+        return 1.0 / slope
+
+    width = math.sqrt(_EPS) * max(1.0, abs(lower))
+    x = min(lower + width, upper)
+    while (dx := newton_step(x)) is None and x < upper:
+        width *= 8.0
+        x = min(lower + width, upper)
+    while dx is not None:
+        floor = 4.0 * _EPS * max(1.0, abs(x))  # at least 4 ulps of x
+        if dx <= floor:
+            break
+        y = x - dx
+        dy = newton_step(y)
+        if dy is None:  # rounding put y at or just below the root
+            if newton_step(y + floor) is not None:
+                x = y + floor
+            break
+        x, dx = y, dy
+    return x
+
+
 def _top_eigenpair(
     matvec: Matvec,
     x0: np.ndarray,
@@ -296,6 +360,17 @@ def _top_eigenpair(
     ``converged`` means it fell below ``tol``, or that the recurrence broke
     down on an exactly invariant Krylov space. ``steps`` counts matvecs and
     never exceeds ``max_iters``.
+
+    Checks up to k = 32 solve T_k densely. A later check first estimates
+    its residual in O(k) passes (:func:`_top_ritz_bound`, then
+    :func:`_ritz_vector` there) and skips the dense solve when the estimate
+    exceeds ``_SCREEN_FACTOR * tol``. It solves densely when the estimate
+    is at most that, and always at a breakdown, at ``max_iters`` and at
+    k = _KRYLOV_CAP. The returned values and the restart's Ritz vector come
+    only from dense solves, and the estimate matches the dense residual to
+    rounding, so a skipped check is one that could not have passed: the
+    stopping step and every returned value are those of a dense solve at
+    every check.
 
     No Krylov basis is stored. A cycle that reaches _KRYLOV_CAP steps
     unconverged regenerates its Lanczos vectors from the same start to form
@@ -321,8 +396,13 @@ def _top_eigenpair(
             k = len(alpha)
             breakdown = b <= _BREAKDOWN * scale
             last = breakdown or steps >= max_iters or k == _KRYLOV_CAP
-            if not (last or k <= 32 or k % 8 == 0):
-                continue
+            if not (last or k <= _DENSE_CHECKS):
+                if k % 8:
+                    continue
+                theta = _top_ritz_bound(alpha, beta, theta, scale)
+                s = _ritz_vector(alpha, beta, theta)
+                if b * abs(s[-1]) / max(1.0, abs(theta)) > _SCREEN_FACTOR * tol:
+                    continue  # this check cannot pass: skip its dense solve
             t = np.zeros((k, k))
             t.flat[:: k + 1] = alpha
             t.flat[k :: k + 1] = beta[:-1]  # subdiagonal; eigvalsh reads the lower triangle

@@ -9,6 +9,7 @@ from epithresh import spectral
 from epithresh.generators import (
     chung_lu_sample_fast,
     power_law_expected_degrees,
+    preferential_attachment,
     uniform_expected_degrees,
 )
 from epithresh.graph import _components, build_graph, degree_stats, largest_component
@@ -24,10 +25,12 @@ from epithresh.spectral import (
 )
 
 from conftest import (
+    complete_graph,
     cycle_graph,
     path_graph,
     random_connected_graph,
     random_graph,
+    star_graph,
     traced_peak,
 )
 import oracles
@@ -134,6 +137,63 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 def complete_bipartite(a: int, b: int):
     return build_graph([(i, a + j) for i in range(a) for j in range(b)], a + b)
+
+
+def gap_near_one_core():
+    """The largest component of a power-law (d_min 1) Chung-Lu sample at
+    n=1000: lambda2 ~ 0.956 with lambda3 ~ 0.951, 128 Lanczos steps."""
+    ed = power_law_expected_degrees(1000, 2.5, 1.0, seed=2)
+    return largest_component(chung_lu_sample_fast(ed, seed=102))[0]
+
+
+# Graphs whose solves must not depend on the O(k) screen: a restart (P_700),
+# breakdowns (K4, C4, star5), bipartite spectra and Chung-Lu/PA samples.
+SCREEN_CORPUS = {
+    "P700": lambda: path_graph(700),
+    "K4": lambda: complete_graph(4),
+    "C4": lambda: cycle_graph(4),
+    "star5": lambda: star_graph(5),
+    "C100": lambda: cycle_graph(100),
+    "K3,4": lambda: complete_bipartite(3, 4),
+    "power-law-core-1000": gap_near_one_core,
+    "pa-500": lambda: preferential_attachment(500, 5, 2),
+    "chung-lu-power-law-3000": lambda: power_law_graph(3000, 1.0, 2),
+    "chung-lu-uniform-3000": lambda: chung_lu_sample_fast(
+        uniform_expected_degrees(3000, 6, 14, seed=4), seed=5
+    ),
+}
+SOLVER_SETTINGS = [
+    {}, {"tol": 1e-8}, {"max_iters": 400}, {"max_iters": 3}, {"max_iters": 6}, {"max_iters": 12},
+]
+
+# Above the breakdown threshold of every T_k that `tridiagonals` draws: its
+# Gershgorin bound is at most 2 + 1 + 1.
+NEAR_BREAKDOWN = 1.01 * spectral._BREAKDOWN * 4.0
+
+
+def tridiagonal(alpha: list[float], beta: list[float]) -> np.ndarray:
+    """T_k from its diagonal and the first k - 1 off-diagonals."""
+    return np.diag(alpha) + np.diag(beta[: len(alpha) - 1], 1) + np.diag(beta[: len(alpha) - 1], -1)
+
+
+@st.composite
+def tridiagonals(draw):
+    """``(alpha, beta, lower, upper)`` as ``_top_eigenpair`` holds them at a
+    check: T_k with k in 1..80, diagonal entries in [-2, 2] that repeat a few
+    drawn values, positive off-diagonals up to 1 that include ones just above
+    the breakdown threshold, and ``beta[-1]`` outside T_k. ``lower`` is the
+    top eigenvalue of a leading block (a previous check's value) and
+    ``upper`` the solver's Gershgorin bound."""
+    k = draw(st.integers(1, 80))
+    entry = st.floats(-2.0, 2.0)
+    repeated = st.sampled_from(draw(st.lists(entry, min_size=1, max_size=3)))
+    alpha = draw(st.lists(st.one_of(repeated, entry), min_size=k, max_size=k))
+    coupling = st.one_of(st.just(NEAR_BREAKDOWN), st.floats(NEAR_BREAKDOWN, 1.0))
+    beta = draw(st.lists(coupling, min_size=k, max_size=k))
+    j = draw(st.integers(1, k))
+    lower = float(np.linalg.eigvalsh(tridiagonal(alpha[:j], beta[:j]))[-1])
+    upper = max(abs(a) + b + c for a, b, c in zip(alpha, beta, [0.0] + beta))
+    return alpha, beta, lower, upper
 
 
 class TestSpectralRadius:
@@ -334,9 +394,7 @@ class TestLanczosCertificate:
     def test_power_law_core_gap_near_one(self):
         # lambda2 ~ 0.956 with lambda3 ~ 0.951: a stopping rule on how far the
         # estimate moved declares convergence here while ~4e-7 off
-        ed = power_law_expected_degrees(1000, 2.5, 1.0, seed=2)
-        g = chung_lu_sample_fast(ed, seed=102)
-        core, _ = largest_component(g)
+        core = gap_near_one_core()
         want = 1.0 - dense_normalized_eigenvalues(core)[-2]
         gap = spectral_gap(core)
         assert gap.converged
@@ -375,6 +433,46 @@ class TestLanczosCertificate:
     def test_max_iters_must_be_positive(self, k4):
         with pytest.raises(ValueError, match="max_iters"):
             spectral_radius(k4, max_iters=0)
+
+    @pytest.mark.parametrize("name", list(SCREEN_CORPUS))
+    def test_screen_changes_no_result(self, name, monkeypatch):
+        # an infinite factor sends every check to the dense solve
+        g = SCREEN_CORPUS[name]()
+        core, _ = largest_component(g)
+
+        def solves():
+            return [(spectral_radius(g, **kw), spectral_gap(core, **kw)) for kw in SOLVER_SETTINGS]
+
+        screened = solves()
+        monkeypatch.setattr(spectral, "_SCREEN_FACTOR", math.inf)
+        assert screened == solves()
+
+    def test_dense_solves_only_where_the_certificate_can_pass(self, monkeypatch):
+        # checking every 8 steps from k = 40 to 128 would solve 12 such T_k densely
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(t):
+            sizes.append(len(t))
+            return eigvalsh(t)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        gap = spectral_gap(gap_near_one_core())
+        assert gap.converged and gap.iterations == 128
+        assert sum(k > 32 for k in sizes) <= 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(tridiagonals())
+    @example(([1.0, 1.0], [1.0, NEAR_BREAKDOWN], 1.0, 2.0 + NEAR_BREAKDOWN))  # top = bound
+    @example(([0.5] * 80, [NEAR_BREAKDOWN] * 80, 0.5, 0.5 + 2 * NEAR_BREAKDOWN))  # a cluster
+    def test_top_ritz_bound(self, case):
+        alpha, beta, lower, upper = case
+        theta = float(np.linalg.eigvalsh(tridiagonal(alpha, beta))[-1])
+        x = spectral._top_ritz_bound(alpha, beta, lower, upper)
+        assert x <= upper
+        # eigvalsh itself is only within a small multiple of eps ||T_k|| of the top
+        assert x >= theta - 32 * spectral._EPS * max(1.0, upper)
+        assert x - theta <= 1e-12 * max(1.0, abs(theta))
 
 
 class TestStationaryDistribution:
