@@ -31,10 +31,24 @@ out-component in this epidemic percolation network (Kenah & Robins,
 036113, 2007). An edge's marginal is Newman's transmissibility
 T = beta / (beta + mu - beta mu) (Phys. Rev. E 66, 016128, 2002). Shared
 tau correlates a node's out-edges, so this is not bond percolation at T.
-A sweep run is one breadth-first search of that network: each frontier
-node draws its tau once and each of its edges one uniform. The search
-ends by itself once a level reaches no new node, so :func:`sir_simulate`'s
-step cap of 10n has no counterpart.
+A sweep run is one breadth-first search of that network, in which each
+frontier node draws its tau once and then only its open edges. With
+rate_u = -log1p(-beta) tau_u, u's edges open with probability
+1 - (1 - beta)^tau_u = 1 - e^-rate_u. A sparse row (rate_u < 1) draws
+h_u ~ Poisson(rate_u d_u) hits and sends each to an entry drawn uniformly
+from its d_u: by Poisson splitting each entry is then hit Poisson(rate_u)
+times, independently of the others, so it is open (hit at least once) with
+probability 1 - e^-rate_u, the law above. Only the hit entries are read,
+and an entry hit twice yields its neighbour twice, which the reached set
+absorbs. A dense row (rate_u >= 1, so each edge opens with probability at
+least 1 - 1/e) is gathered whole and draws one uniform per entry. A
+sparse row's expected hits are rate_u d_u < d_u, so a row costs at most
+about one draw per entry either way; drawing hits for a dense row too
+would cost up to rate_u draws per entry. Within a slice of the frontier
+the draws come in this order: the tau of each node in frontier order,
+then the dense rows' uniforms, then the sparse rows' Poisson counts, then
+one entry index per hit. The search ends by itself once a level reaches
+no new node, so :func:`sir_simulate`'s step cap of 10n has no counterpart.
 """
 
 from __future__ import annotations
@@ -49,7 +63,7 @@ from .spectral import _certified, spectral_radius
 # The update rule of the module docstring, as the CLI's CSV comment lines name it.
 UPDATE_RULE = "update=synchronous-snapshot contact=1-(1-beta)^k"
 # How the sweep draws its final sizes, as its CSV comment line names it.
-SWEEP_FINAL = "final=percolation-bfs"
+SWEEP_FINAL = "final=percolation-bfs-poisson"
 # Neighbour entries one percolation-BFS slice gathers at once; a node of
 # higher degree is a slice of its own.
 _BFS_SLICE = 1 << 16
@@ -175,13 +189,18 @@ def _percolation_final_size(
 
     A level-synchronous BFS, the frontier cut into slices of at most
     _BFS_SLICE neighbour entries. Each slice draws its nodes' tau in
-    frontier order, then one uniform per neighbour entry; the newly reached
-    nodes of a slice are marked before the next slice filters. At beta 1
-    every edge is open and at beta 0 none, and neither draws.
+    frontier order, which sets each node's rate ``-log1p(-beta) * tau``,
+    and then draws only the open edges of its rows (:func:`_open_neighbors`):
+    first one uniform per entry of the dense rows (rate >= 1), then the
+    sparse rows' Poisson hit counts, then one entry index per hit. By
+    Poisson splitting an entry is open with probability ``1 - e^-rate``
+    either way, and a row costs at most about one draw per entry. The newly
+    reached nodes of a slice are marked before the next slice filters. At
+    beta 1 every edge is open and at beta 0 none, and neither draws.
     """
     if beta == 0.0:
         return 1
-    log_miss = np.log1p(-beta) if beta < 1.0 else None
+    rate_per_step = -np.log1p(-beta) if beta < 1.0 else None
     reached = np.zeros(g.n, dtype=bool)
     reached[start] = True
     frontier = np.array([start], dtype=np.int64)
@@ -194,11 +213,11 @@ def _percolation_final_size(
             base = int(ends[i - 1]) if i else 0
             j = max(i + 1, int(np.searchsorted(ends, base + _BFS_SLICE, "right")))
             nodes = frontier[i:j]
-            nbrs = _frontier_neighbors(g, nodes)
-            if log_miss is not None:
-                # 1 - (1 - beta)^tau, without the cancellation of the plain form
-                p_open = -np.expm1(rng.geometric(mu, nodes.size) * log_miss)
-                nbrs = nbrs[rng.random(nbrs.size) < np.repeat(p_open, g.degrees[nodes])]
+            if rate_per_step is None:
+                nbrs = _frontier_neighbors(g, nodes)
+            else:
+                rate = rng.geometric(mu, nodes.size) * rate_per_step
+                nbrs = _open_neighbors(g, nodes, rate, rng)
             new = _sorted_unique(nbrs[~reached[nbrs]])
             reached[new] = True
             size += new.size
@@ -206,6 +225,32 @@ def _percolation_final_size(
             i = j
         frontier = np.concatenate(level)
     return size
+
+
+def _open_neighbors(
+    g: Graph, nodes: np.ndarray, rate: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """The neighbours behind the open out-edges of ``nodes``, each of a
+    node's edges open with probability ``1 - e^-rate``; one may repeat.
+
+    A dense row (rate >= 1) is gathered and draws one uniform per entry. A
+    sparse row draws Poisson(rate * degree) hits, each at a uniform entry,
+    and reads only the hit entries: each entry is hit Poisson(rate) times,
+    independently, and is open when hit at all.
+    """
+    degrees = g.degrees[nodes]
+    dense = rate >= 1.0
+    opened = []
+    if dense.any():
+        nbrs = _frontier_neighbors(g, nodes[dense])
+        p_open = -np.expm1(-rate[dense])
+        opened.append(nbrs[rng.random(nbrs.size) < np.repeat(p_open, degrees[dense])])
+    sparse = ~dense
+    hits = rng.poisson(rate[sparse] * degrees[sparse])
+    pos = rng.integers(np.repeat(degrees[sparse], hits))
+    pos += np.repeat(g.offsets[nodes[sparse]], hits)
+    opened.append(g.neighbors[pos])
+    return np.concatenate(opened) if len(opened) > 1 else opened[0]
 
 
 @dataclass(frozen=True)

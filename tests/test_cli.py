@@ -515,6 +515,7 @@ class TestLibraryDefaults:
         lines = capsys.readouterr().out.splitlines()
         want = threshold_sweep(g, [0.5, 2.0], reps=3, seed=0)
         assert lines[0].startswith(f"# sweep mu={want[0].mu} ")
+        assert lines[0].endswith(" final=percolation-bfs-poisson")
         assert [tuple(map(float, line.split(","))) for line in lines[2:]] == [
             (r.ratio, r.beta, r.mu, r.mean_final_fraction, r.sd_final_fraction, r.reps)
             for r in want

@@ -16,7 +16,7 @@ from epithresh.graph import build_graph, largest_component
 from epithresh.sir import SirParams, sir_simulate, threshold_sweep
 from epithresh.spectral import spectral_radius
 
-from conftest import path_graph, random_connected_graph
+from conftest import path_graph, random_connected_graph, star_graph
 from oracles import recount_sir_simulate
 
 
@@ -267,3 +267,65 @@ class TestPercolationFinalSizes:
         # a slice holds at most three 8-byte arrays and one mask at once
         slice_bytes = (3 * 8 + 1) * sir._BFS_SLICE
         assert bfs_peak <= sim_peak + slice_bytes, (bfs_peak, sim_peak)
+
+
+# The row sampler's exact-law gate: family-wise 1%, Bonferroni over 2 cases;
+# adjacent bins are pooled from the low end until each expects at least 5 runs.
+STAR_ALPHA = 0.01 / 2
+STAR_RUNS = 4000
+STAR_DEGREE = 40
+
+
+def _star_open_count_pmf(beta: float, mu: float) -> np.ndarray:
+    """P(k of the hub's STAR_DEGREE edges open): sum over tau ~ Geometric(mu)
+    of mu (1 - mu)^(tau - 1) Binomial(STAR_DEGREE, 1 - (1 - beta)^tau)."""
+    taus = np.arange(1, 400)
+    weights = mu * (1.0 - mu) ** (taus - 1)
+    p_open = 1.0 - (1.0 - beta) ** taus
+    counts = np.arange(STAR_DEGREE + 1)
+    return weights @ sps.binom.pmf(counts[None, :], STAR_DEGREE, p_open[:, None])
+
+
+def _pooled(observed: np.ndarray, expected: np.ndarray):
+    obs, exp, o, e = [], [], 0, 0.0
+    for k in range(observed.size):
+        o, e = o + observed[k], e + expected[k]
+        if e >= 5.0:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    return np.array(obs), np.array(exp)
+
+
+class TestRowSampler:
+    """The percolation BFS's draw of a row's open edges, sparse and dense."""
+
+    @pytest.mark.parametrize("beta, mu", [
+        (0.3, 0.2),  # rate -log1p(-0.3) * tau >= 1 exactly when tau >= 3: both kinds of row
+        (0.5, 1.0),  # tau = 1 and rate 0.69: every row sparse
+    ])
+    def test_hub_of_a_star_opens_its_exact_law(self, beta, mu):
+        # from the hub of K_{1,d} the final size is 1 + the hub's open-edge count
+        star = star_graph(STAR_DEGREE + 1)
+        rng = np.random.default_rng(61)
+        opened = [sir._percolation_final_size(star, beta, mu, 0, rng) - 1
+                  for _ in range(STAR_RUNS)]
+        observed = np.bincount(opened, minlength=STAR_DEGREE + 1)
+        pmf = _star_open_count_pmf(beta, mu)
+        assert abs(pmf.sum() - 1.0) < 1e-12
+        obs, exp = _pooled(observed, STAR_RUNS * pmf / pmf.sum())
+        test = sps.chisquare(obs, exp)
+        assert test.pvalue > STAR_ALPHA, (beta, mu, test.statistic, test.pvalue)
+
+    def test_a_sparse_row_is_never_gathered(self, monkeypatch):
+        # mu = 1 gives tau = 1, so every row has rate -log1p(-0.5) < 1
+        def no_gather(g, frontier):
+            raise AssertionError("a sparse row was gathered whole")
+
+        g = random_connected_graph(200, seed=6, extra_edges=400)
+        monkeypatch.setattr(sir, "_frontier_neighbors", no_gather)
+        rng = np.random.default_rng(8)
+        sizes = [sir._percolation_final_size(g, 0.5, 1.0, start, rng) for start in range(20)]
+        assert max(sizes) > 1
