@@ -1,3 +1,4 @@
+import collections
 import os
 import threading
 import tracemalloc
@@ -329,3 +330,40 @@ class TestRowSampler:
         rng = np.random.default_rng(8)
         sizes = [sir._percolation_final_size(g, 0.5, 1.0, start, rng) for start in range(20)]
         assert max(sizes) > 1
+
+    def test_a_dense_row_draws_one_uniform_per_entry_and_no_hits(self, monkeypatch):
+        # mu = 1 gives tau = 1, so every row has rate -log1p(-0.9) = 2.3 >= 1;
+        # Poisson hits there would cost about 2.3 entry draws per entry
+        class Recorder:
+            """A generator that counts what each method draws, and the Poisson hits."""
+
+            def __init__(self, seed):
+                self.rng, self.draws = np.random.default_rng(seed), collections.Counter()
+
+            def __getattr__(self, name):
+                def recorded(*args):
+                    out = getattr(self.rng, name)(*args)
+                    self.draws[name] += np.size(out)
+                    if name == "poisson":
+                        self.draws["hits"] += int(np.sum(out))
+                    return out
+
+                return recorded
+
+        gathered = 0
+        gather = sir._frontier_neighbors
+
+        def counting_gather(g, frontier):
+            nonlocal gathered
+            nbrs = gather(g, frontier)
+            gathered += nbrs.size
+            return nbrs
+
+        g = random_connected_graph(200, seed=6, extra_edges=400)
+        monkeypatch.setattr(sir, "_frontier_neighbors", counting_gather)
+        rng = Recorder(9)
+        sizes = [sir._percolation_final_size(g, 0.9, 1.0, start, rng) for start in range(20)]
+        assert max(sizes) > 1
+        assert rng.draws["hits"] == 0
+        assert rng.draws["integers"] == 0
+        assert 0 < rng.draws["random"] == gathered
