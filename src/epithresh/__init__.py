@@ -4,7 +4,9 @@ Exact spectral radius as the baseline, the degree-moment ratio m2/m1 as a
 cheap whole-graph proxy, and a random-walk sampler that estimates the same
 ratio from a vanishing fraction of node queries; plus the graph generators,
 concentration-bound calculators, SIR simulator, oracle service, and
-experiment harness that exercise them.
+experiment harness that exercise them. The package exports what that
+pipeline runs; references that only tests use, such as the walk's exact
+mixing time, live in tests/oracles.py.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +37,6 @@ from .graph import (
     DegreeStats,
     Graph,
     build_graph,
-    build_graph_with_report,
     degree_stats,
     largest_component,
     read_edge_list,
@@ -54,8 +55,6 @@ from .spectral import (
     SpectralResult,
     spectral_gap,
     spectral_radius,
-    stationary_distribution,
-    tv_mixing_time,
 )
 from .walker import (
     GraphOracle,

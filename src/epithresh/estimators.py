@@ -98,13 +98,13 @@ def hoeffding_m1_bound(ed: ExpectedDegrees, eps: float) -> BoundReport:
     """Tail bound on the edge mass: P(|m1/mu1 - 1| > eps) <= 2 exp(-eps^2 mu1^2 / (n(n-1))).
 
     No side condition; the bound is valid (if possibly vacuous) for any
-    eps > 0 because the n-choose-2 pair indicators are independent.
+    finite eps >= 0 because the n-choose-2 pair indicators are independent.
     """
     n = ed.n
     if n < 2:
         raise ValueError("bound needs at least two nodes")
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not 0.0 <= eps < math.inf:  # NaN fails both bounds
+        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     exponent = -(eps**2) * ed.mu1**2 / (n * (n - 1))
     value = 2.0 * math.exp(exponent)
     return BoundReport(
@@ -158,8 +158,10 @@ def sample_size(
     truncated gap would size the walk from an uncertified number.
     """
     gap_value = _certified(gap) if isinstance(gap, SpectralGap) else float(gap)
-    if gap_value <= 0.0:
-        raise ValueError("sample size requires a positive spectral gap")
+    if not 0.0 < gap_value < math.inf:  # NaN fails both bounds
+        raise ValueError(
+            f"sample size requires a positive, finite spectral gap, got {gap_value}"
+        )
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if not 0.0 < delta < 1.0:

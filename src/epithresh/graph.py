@@ -18,10 +18,8 @@ import numpy as np
 __all__ = [
     "Graph",
     "DegreeStats",
-    "BuildReport",
     "EdgeListParseError",
     "build_graph",
-    "build_graph_with_report",
     "degree_stats",
     "largest_component",
     "read_edge_list",
@@ -101,14 +99,6 @@ class Graph:
             and np.array_equal(self.offsets, other.offsets)
             and np.array_equal(self.neighbors, other.neighbors)
         )
-
-
-@dataclass(frozen=True)
-class BuildReport:
-    """Cleanup counts from canonicalizing a raw edge list."""
-
-    self_loops_removed: int
-    duplicates_removed: int
 
 
 @dataclass(frozen=True)
@@ -199,10 +189,8 @@ def _keys_to_csr(keys: np.ndarray, n: int) -> Graph:
     return _csr(n, np.diff(bounds), np.remainder(keys, _MAX_NODES, out=keys))
 
 
-def build_graph_with_report(
-    edges: Iterable[tuple[int, int]] | np.ndarray, n: int
-) -> tuple[Graph, BuildReport]:
-    """Canonicalize a raw edge list into a Graph, reporting removal counts.
+def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
+    """Canonicalize a raw edge list into a Graph.
 
     Input pairs may repeat, appear in either orientation, or be self-loops;
     the result is the simple undirected graph on those edges. Raises
@@ -228,16 +216,7 @@ def build_graph_with_report(
         bad = arr[(arr < 0) | (arr >= n)]
         raise ValueError(f"edge endpoint {int(bad.flat[0])} out of range [0, {n})")
 
-    keys = _directed_keys(arr)
-    k = keys.size // 2
-    graph = _keys_to_csr(keys, n)
-    return graph, BuildReport(len(arr) - k, k - graph.m)
-
-
-def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
-    """Canonical Graph from a raw edge list (see build_graph_with_report)."""
-    graph, _ = build_graph_with_report(edges, n)
-    return graph
+    return _keys_to_csr(_directed_keys(arr), n)
 
 
 def _degree_moments(g: Graph) -> tuple[int, int]:

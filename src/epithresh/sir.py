@@ -112,11 +112,6 @@ class SirTrajectory:
     final_size: int
     steps: int
 
-    @property
-    def final_fraction(self) -> float:
-        n = int(self.s[0] + self.i[0] + self.r[0])
-        return self.final_size / n
-
 
 def _infected_neighbor_counts(g: Graph, infected: np.ndarray) -> np.ndarray:
     return np.bincount(_frontier_neighbors(g, infected), minlength=g.n)
@@ -291,6 +286,8 @@ def threshold_sweep(
         raise ValueError(f"mu must lie in (0, 1], got {mu}")
     if lam is None:
         lam = _certified(spectral_radius(g))
+    elif not 0.0 < lam < np.inf:  # NaN fails both bounds
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     master = np.random.default_rng(seed)
     betas = [min(1.0, ratio * mu / lam) for ratio in ratios]
     # Start nodes and replication seeds are drawn up front, ratio-major.

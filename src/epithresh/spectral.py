@@ -1,4 +1,4 @@
-"""Exact spectral baselines: spectral radius, walk spectral gap, mixing time.
+"""Exact spectral baselines: spectral radius and walk spectral gap.
 
 The spectral radius is the reference quantity the cheap estimators are
 judged against; the gap of the degree-normalized adjacency controls how
@@ -18,7 +18,9 @@ over all rows does, so every product is bit-identical to it. The solver
 stops on the Ritz residual |beta_k s_k|, which bounds the distance from
 the reported value to an eigenvalue of the operator (Paige, 1980), so
 ``converged`` is a certificate rather than a stalled estimate. Bipartite
-+/- eigenvalue pairs do not slow it down.
++/- eigenvalue pairs do not slow it down. The walk's exact mixing time, a
+dense reference that no pipeline step runs, is a test oracle
+(``tests/oracles.py``).
 
 The residual is read from the Lanczos tridiagonal T_k, and only a check
 that can pass solves T_k densely (``eigvalsh``, O(k^3)). Past k = 32 a
@@ -49,8 +51,6 @@ __all__ = [
     "DisconnectedGraphError",
     "spectral_radius",
     "spectral_gap",
-    "tv_mixing_time",
-    "stationary_distribution",
     "adjacency_matvec",
     "bipartite_coloring",
 ]
@@ -66,9 +66,6 @@ _EPS = float(np.finfo(np.float64).eps)
 
 _MATVEC_BLOCK = 1 << 18  # neighbour entries one matvec gathers at once (2 MiB of float64)
 _LIGHT = 8  # numpy's pairwise-sum block; rows of at most this many entries are summed by column
-
-_MIXING_STEP_CAP = 1_000_000
-_MIXING_DENSE_LIMIT = 5000
 
 
 class DisconnectedGraphError(ValueError):
@@ -218,13 +215,6 @@ def adjacency_matvec(g: Graph, x: np.ndarray) -> np.ndarray:
     return _adjacency_operator(g)(x)
 
 
-def _two_coloring(g: Graph, parity: np.ndarray) -> np.ndarray | None:
-    """``parity`` as int64 colors if every edge joins unequal parities, else None."""
-    if (np.repeat(parity, g.degrees) != parity[g.neighbors]).all():
-        return parity.astype(np.int64)
-    return None
-
-
 def bipartite_coloring(g: Graph) -> np.ndarray | None:
     """BFS 2-coloring: 0/1 per node, or None if an odd cycle exists.
 
@@ -232,7 +222,10 @@ def bipartite_coloring(g: Graph) -> np.ndarray | None:
     of its component (isolated nodes get 0), taken from the one traversal
     in ``graph._components`` and checked against every edge.
     """
-    return _two_coloring(g, _components(g)[1])
+    parity = _components(g)[1]
+    if (np.repeat(parity, g.degrees) != parity[g.neighbors]).all():
+        return parity.astype(np.int64)
+    return None
 
 
 def _lanczos(matvec: Matvec, q: np.ndarray, deflate: np.ndarray | None):
@@ -493,55 +486,3 @@ def _certified(result: SpectralResult | SpectralGap) -> float:
             f"{result.residual:.3g} after {result.iterations} Lanczos steps"
         )
     return value
-
-
-def stationary_distribution(g: Graph) -> np.ndarray:
-    """Stationary distribution of the simple random walk: pi_v = d_v / sum(d).
-
-    Isolated nodes get probability zero; extract the component first if the
-    walk is meant to be irreducible.
-    """
-    if g.m == 0:
-        raise ValueError("stationary distribution undefined on an edgeless graph")
-    deg = g.degrees.astype(np.float64)
-    return deg / deg.sum()
-
-
-def tv_mixing_time(g: Graph, start: int, threshold: float | None = None) -> int:
-    """Smallest t with ||q_t - pi||_1 <= threshold for the exact walk distribution.
-
-    q_t is propagated exactly by iterated sparse transition application from
-    a point mass at ``start``. The default threshold is the literal value
-    1/n^2. Errors on bipartite graphs (the distribution oscillates forever)
-    naming the 2-coloring, and if the threshold is not reached within 1e6
-    steps.
-    """
-    if threshold is None:
-        threshold = 1.0 / (g.n * g.n) if g.n else 1.0
-    if g.n > _MIXING_DENSE_LIMIT:
-        raise ValueError(
-            f"tv_mixing_time supports n <= {_MIXING_DENSE_LIMIT}, got {g.n}"
-        )
-    if g.m == 0:
-        raise ValueError("mixing time undefined on an edgeless graph")
-    if not (0 <= start < g.n):
-        raise ValueError(f"start node {start} out of range [0, {g.n})")
-    root, parity = _components(g)
-    if root.any():
-        raise DisconnectedGraphError("mixing time undefined on a disconnected graph")
-    coloring = _two_coloring(g, parity)
-    if coloring is not None:
-        raise BipartiteGraphError(coloring)
-
-    pi = stationary_distribution(g)
-    deg = g.degrees.astype(np.float64)
-    q = np.zeros(g.n, dtype=np.float64)
-    q[start] = 1.0
-    adjacency = _adjacency_operator(g)
-    for t in range(_MIXING_STEP_CAP + 1):
-        if float(np.abs(q - pi).sum()) <= threshold:
-            return t
-        q = adjacency(q / deg)  # A is symmetric: q Q == A (q / d)
-    raise RuntimeError(
-        f"TV distance did not reach {threshold} within {_MIXING_STEP_CAP} steps"
-    )

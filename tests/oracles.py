@@ -1,17 +1,25 @@
 """Independent test oracles.
 
-Everything here is deliberately implemented from scratch, without reusing
-the library's code paths, so tests compare two unrelated routes to the same
-quantity: a round-robin Jacobi eigensolver for spectral values, dict-of-sets
-degree recounts for graph statistics, a whole-file line-by-line edge-list
-parser and per-edge writer, dense transition-matrix iteration for walk
-distributions, the per-step walk and error-curve loops over the oracle's
-own counted queries, a Hill estimator for tail exponents, the
-separate connectivity BFS and per-node stack 2-coloring that the one
-component traversal replaced, that traversal's former top-down-only
-loop, the quadratic reference Chung-Lu sampler and its former per-row
-loop, and the SIR step that recounted the infected
-nodes' neighbors every step.
+Nearly everything here is deliberately implemented from scratch, without
+reusing the library's code paths, so tests compare two unrelated routes to
+the same quantity: a round-robin Jacobi eigensolver for spectral values,
+dict-of-sets degree recounts for graph statistics, a whole-file
+line-by-line edge-list parser and per-edge writer, dense transition-matrix
+iteration for walk distributions, the per-step walk and error-curve loops
+over the oracle's own counted queries, a Hill estimator for tail exponents,
+the separate connectivity BFS and per-node stack 2-coloring that the one
+component traversal replaced, that traversal's former top-down-only loop,
+the quadratic reference Chung-Lu sampler and its former per-row loop, and
+the SIR step that recounted the infected nodes' neighbors every step.
+
+The one exception is the walk's exact total-variation mixing time,
+``tv_mixing_time``, with its ``stationary_distribution``: PAPER.md's
+yardstick t_mix, which no pipeline step runs. It is the reference for
+bounds on t_mix, not a second route to the library's operator: it steps
+the exact walk distribution with ``spectral._adjacency_operator`` (so a
+test that patches the matvec block exercises it too), and it tests
+connectivity with ``graph._components`` and bipartiteness with
+``spectral.bipartite_coloring``.
 """
 
 from __future__ import annotations
@@ -20,15 +28,18 @@ import random
 
 import numpy as np
 
+from epithresh import spectral
 from epithresh.generators import ExpectedDegrees
 from epithresh.graph import (
     EdgeListParseError,
     Graph,
+    _components,
     _frontier_neighbors,
     _sorted_unique,
     build_graph,
 )
 from epithresh.sir import SirParams, SirTrajectory
+from epithresh.spectral import BipartiteGraphError, DisconnectedGraphError
 from epithresh.walker import (
     CurvePoint,
     GraphOracle,
@@ -172,6 +183,63 @@ def exact_walk_distribution(g, start: int, steps: int) -> np.ndarray:
     for _ in range(steps):
         q = q @ transition
     return q
+
+
+# The walk's exact mixing time, which reuses the library (module docstring).
+
+_MIXING_STEP_CAP = 1_000_000
+_MIXING_DENSE_LIMIT = 5000
+
+
+def stationary_distribution(g: Graph) -> np.ndarray:
+    """Stationary distribution of the simple random walk: pi_v = d_v / sum(d).
+
+    Isolated nodes get probability zero; extract the component first if the
+    walk is meant to be irreducible.
+    """
+    if g.m == 0:
+        raise ValueError("stationary distribution undefined on an edgeless graph")
+    deg = g.degrees.astype(np.float64)
+    return deg / deg.sum()
+
+
+def tv_mixing_time(g: Graph, start: int, threshold: float | None = None) -> int:
+    """Smallest t with ||q_t - pi||_1 <= threshold for the exact walk distribution.
+
+    q_t is propagated exactly by iterated sparse transition application from
+    a point mass at ``start``. The default threshold is the literal value
+    1/n^2. Errors on bipartite graphs (the distribution oscillates forever)
+    naming the 2-coloring, and if the threshold is not reached within 1e6
+    steps.
+    """
+    if threshold is None:
+        threshold = 1.0 / (g.n * g.n) if g.n else 1.0
+    if g.n > _MIXING_DENSE_LIMIT:
+        raise ValueError(
+            f"tv_mixing_time supports n <= {_MIXING_DENSE_LIMIT}, got {g.n}"
+        )
+    if g.m == 0:
+        raise ValueError("mixing time undefined on an edgeless graph")
+    if not (0 <= start < g.n):
+        raise ValueError(f"start node {start} out of range [0, {g.n})")
+    if _components(g)[0].any():
+        raise DisconnectedGraphError("mixing time undefined on a disconnected graph")
+    coloring = spectral.bipartite_coloring(g)
+    if coloring is not None:
+        raise BipartiteGraphError(coloring)
+
+    pi = stationary_distribution(g)
+    deg = g.degrees.astype(np.float64)
+    q = np.zeros(g.n, dtype=np.float64)
+    q[start] = 1.0
+    adjacency = spectral._adjacency_operator(g)
+    for t in range(_MIXING_STEP_CAP + 1):
+        if float(np.abs(q - pi).sum()) <= threshold:
+            return t
+        q = adjacency(q / deg)  # A is symmetric: q Q == A (q / d)
+    raise RuntimeError(
+        f"TV distance did not reach {threshold} within {_MIXING_STEP_CAP} steps"
+    )
 
 
 def pi_weighted_mean_degree(g) -> float:

@@ -128,6 +128,12 @@ class TestHoeffdingBound:
         with pytest.raises(ValueError, match="eps must be nonnegative"):
             hoeffding_m1_bound(ed_of(1.0, 1.0), eps=-0.1)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_errors(self, eps):
+        # a NaN eps would report a NaN bound
+        with pytest.raises(ValueError, match=f"eps must be nonnegative and finite, got {eps}"):
+            hoeffding_m1_bound(ed_of(1.0, 1.0), eps=eps)
+
 
 class TestChungRadcliffeBound:
     def test_spot_value(self):
@@ -215,6 +221,12 @@ class TestSampleSize:
         stats = degree_stats(cycle_graph(10))
         with pytest.raises(ValueError):
             sample_size(stats, gap=0.0, eps=0.5, delta=0.1)
+
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
+    def test_non_finite_gap_errors(self, gap):
+        # an infinite gap would plan r = 1
+        with pytest.raises(ValueError, match=f"positive, finite spectral gap, got {gap}"):
+            sample_size(degree_stats(cycle_graph(10)), gap=gap, eps=0.1, delta=0.1)
 
     @pytest.mark.parametrize(
         "eps, delta, message",

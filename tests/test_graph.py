@@ -16,7 +16,6 @@ from epithresh.graph import (
     Graph,
     _components,
     build_graph,
-    build_graph_with_report,
     degree_stats,
     largest_component,
     read_edge_list,
@@ -41,11 +40,9 @@ def _dense_random_graph() -> Graph:
 
 class TestBuildGraph:
     def test_dedup_and_self_loop_removal(self):
-        g, report = build_graph_with_report([(0, 1), (1, 0), (1, 1)], 2)
+        g = build_graph([(0, 1), (1, 0), (1, 1)], 2)
         assert g.m == 1
         assert g.degrees.tolist() == [1, 1]
-        assert report.self_loops_removed == 1
-        assert report.duplicates_removed == 1
 
     def test_four_cycle(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
@@ -134,9 +131,8 @@ class TestBuildGraph:
         as_array=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_report_matches_set_oracle(self, n, raw, as_array):
+    def test_build_matches_set_oracle(self, n, raw, as_array):
         edges = [(u % n, v % n) for u, v in raw] if n else []
-        loops = sum(u == v for u, v in edges)
         distinct = {frozenset(e) for e in edges if e[0] != e[1]}
         adjacency = {v: set() for v in range(n)}
         for u, v in distinct:
@@ -144,10 +140,8 @@ class TestBuildGraph:
             adjacency[v].add(u)
         source = np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges
 
-        g, report = build_graph_with_report(source, n)
+        g = build_graph(source, n)
 
-        assert report.self_loops_removed == loops
-        assert report.duplicates_removed == len(edges) - loops - len(distinct)
         assert (g.n, g.m) == (n, len(distinct))
         assert g.offsets.tolist()[:1] == [0] and g.offsets[-1] == 2 * g.m
         m1, m2, degrees = recount_degree_sums(edges, n)
@@ -706,7 +700,7 @@ class TestNodeCountCap:
     @pytest.mark.parametrize("n", [3_037_000_500, 2**62])
     def test_build_refuses_huge_node_count(self, n):
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
-            build_graph_with_report([], n)
+            build_graph([], n)
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
             build_graph([(0, 1)], n)
 

@@ -195,6 +195,12 @@ class TestThresholdSweep:
         assert (zero.beta, zero.mean_final_fraction, zero.sd_final_fraction) == (0.0, 1 / g.n, 0.0)
         assert (full.beta, full.mean_final_fraction, full.sd_final_fraction) == (1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_lam_that_is_not_finite_and_positive_is_refused(self, lam):
+        # min(1, ratio * mu / nan) is 1.0, so a NaN lam would sweep at beta = 1
+        with pytest.raises(ValueError, match=f"lam must be finite and positive, got {lam}"):
+            threshold_sweep(path_graph(3), [1.0], reps=3, seed=0, lam=lam)
+
     def test_mu_outside_its_range_is_refused(self):
         for mu in (0.0, 1.5, float("nan")):
             with pytest.raises(ValueError, match="mu must lie in"):

@@ -20,8 +20,6 @@ from epithresh.spectral import (
     bipartite_coloring,
     spectral_gap,
     spectral_radius,
-    stationary_distribution,
-    tv_mixing_time,
 )
 
 from conftest import (
@@ -34,7 +32,13 @@ from conftest import (
     traced_peak,
 )
 import oracles
-from oracles import dense_adjacency, exact_walk_distribution, jacobi_spectral_radius
+from oracles import (
+    dense_adjacency,
+    exact_walk_distribution,
+    jacobi_spectral_radius,
+    stationary_distribution,
+    tv_mixing_time,
+)
 
 
 @st.composite
